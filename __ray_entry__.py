@@ -3483,7 +3483,8 @@ def _unimax_sql() -> str:
               FROM lv, piv)
         SELECT source, n_tokens, round(cap, 6) AS capacity,
                round(alloc, 6) AS alloc_tokens,
-               round(alloc / n_tokens, 6) AS epochs
+               CASE WHEN n_tokens = 0 THEN 0.0
+                    ELSE round(alloc / n_tokens, 6) END AS epochs
         FROM a ORDER BY source"""
 
 
@@ -5493,13 +5494,18 @@ FROM tok GROUP BY doc_id, k, t ORDER BY doc_id, chunk_idx
                 '{SSN_PATTERN}', '<SSN>', 'g'),
                 '{PHONE_PATTERN}', '<PHONE>', 'g') AS scrubbed_text
             FROM documents""",
+        # avg_price takes the compensated sum (sumKahan = DuckDB's fsum):
+        # the plain double sum() drifts ~4e-10 over a group's cent amounts
+        # and misrounds the 6th decimal on some inputs. The 2-dp money sum
+        # stays the plain sum(l_extendedprice) — perfbench's EXACT_SUMS
+        # rewrites that text to fsum() and needs to find it.
         "pricing_summary": """
             SELECT l_returnflag, l_linestatus,
                    round(sum(l_quantity), 2) AS sum_qty,
                    round(sum(l_extendedprice), 2) AS sum_price,
                    count(*) AS n,
                    round(sum(l_quantity) / count(*), 6) AS avg_qty,
-                   round(sum(l_extendedprice) / count(*), 6) AS avg_price
+                   round(sumKahan(l_extendedprice) / count(*), 6) AS avg_price
             FROM lineitem GROUP BY 1, 2""",
         "moving_avg_events": """
             SELECT event_id, user_id,

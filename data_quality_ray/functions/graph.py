@@ -78,7 +78,8 @@ def hits(edges_ds, rounds: int = 5):
     twice per round); each half-round is one streaming pass of
     per-edge contributions ``score[other end]·w`` against the BROADCAST
     score vector, folded per-node by the grouped-aggregate partials.
-    Driver state = two score vectors (one float per node).
+    Driver state = two score vectors (one float per node). All-zero
+    weights leave no scale to normalize by: ValueError, not NaN scores.
     → (hubs DataFrame (node, hub), auths DataFrame (node, auth))."""
     import ray
 
@@ -115,11 +116,15 @@ def hits(edges_ds, rounds: int = 5):
             .reindex(dsts if other == "dst" else srcs).fillna(0.0) \
             .to_numpy(dtype=np.float64)
 
+    def _normalize(v: np.ndarray, side: str) -> np.ndarray:
+        if v.max(initial=0.0) <= 0:
+            raise ValueError(f"hits: every {side} score is 0 — the edge weights "
+                             "must include a positive one")
+        return np.round(v / v.max(), RANK_ROUND)
+
     for _ in range(rounds):
-        a = _fold("src", srcs, h, "dst")
-        a = np.round(a / a.max(), RANK_ROUND)
-        h = _fold("dst", dsts, a, "src")
-        h = np.round(h / h.max(), RANK_ROUND)
+        a = _normalize(_fold("src", srcs, h, "dst"), "authority")
+        h = _normalize(_fold("dst", dsts, a, "src"), "hub")
 
     return (pd.DataFrame({"node": srcs, "hub": h}),
             pd.DataFrame({"node": dsts, "auth": a}))

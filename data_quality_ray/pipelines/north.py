@@ -41,6 +41,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..sources.io import read_parquet_sized
 from ..stages.image import decode, phash64, phash64_batch  # noqa: F401 (phash64: API surface)
 from ..state.manifest import Manifest
 from .quality_filter import build_image_chain
@@ -268,8 +269,6 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     scanned once, never copied); ``read_final`` output is row-identical
     to the rewrite path (parity-tested).
     """
-    import ray.data as rd
-
     index = None
     if dedup_index_dir is not None:
         from ..state.dedup_index import DedupIndex
@@ -311,7 +310,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
         wave = pending[w : w + wave_files]
         for frag_id, _ in wave:  # clear stale partial output (uncommitted)
             shutil.rmtree(_frag_dir(filtered_dir, frag_id), ignore_errors=True)
-        wave_ds = _tagged_read(rd, wave)
+        wave_ds = _tagged_read(wave)
         if index is not None and index.n_keys:
             wave_ds = index.filter_new(wave_ds, "phash")
         if hidx is not None and hidx.n_keys:
@@ -367,11 +366,11 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
 
         final_dir = os.path.join(out_dir, "final")
         shutil.rmtree(final_dir, ignore_errors=True)
-        survivors = rd.read_parquet(filtered_dir).map_batches(_surviving, batch_format="pyarrow")
+        survivors = read_parquet_sized(filtered_dir).map_batches(_surviving, batch_format="pyarrow")
         deduped = dedup_by_key(survivors, key="phash", order_col="image_id",
                                strategy="map_groups")
         deduped.write_parquet(final_dir, **_PAYLOAD_WRITE_ARGS)
-        totals["final_rows"] = rd.read_parquet(final_dir).count()
+        totals["final_rows"] = read_parquet_sized(final_dir).count()
         if ar_batch_size is not None:
             _write_ar_batches(out_dir, totals, ar_batch_size, ar_buckets)
         return totals
@@ -384,7 +383,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
                 for f in sorted(glob.glob(os.path.join(_frag_dir(filtered_dir, frag), "*.parquet")))
             ]
             if prev_files:
-                _merge_winners_from_disk(rd, prev_files, win_parts)
+                _merge_winners_from_disk(prev_files, win_parts)
         wp, wi = _finalize_winners(win_parts)
         if final_output == "metadata":
             keep_dir = os.path.join(out_dir, "final_keep")
@@ -397,7 +396,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             totals["final_rows"] = len(wp)
             totals["final_mode"] = "metadata"
         else:
-            totals["final_rows"] = _dedup_phase(rd, filtered_dir,
+            totals["final_rows"] = _dedup_phase(filtered_dir,
                                                 os.path.join(out_dir, "final"), wp, wi)
         if index is not None:
             from ..state.dedup_index import append as _index_append
@@ -422,8 +421,6 @@ def _write_ar_batches(out_dir: str, totals: dict, batch_size: int,
     scan + one window exchange on top of whichever final mode ran.
     Idempotent: a committed layout (marker file) is skipped on resume."""
     import glob as _glob
-
-    import ray.data as rd
 
     from ..stages.arbatch import SDXL_BUCKETS, ar_bucket_batches
 
@@ -455,13 +452,12 @@ def read_final(out_dir: str, columns: list[str] | None = None):
     bytes. The filter columns (verdict / phash / image_id) are read
     regardless and dropped again if not requested."""
     import ray
-    import ray.data as rd
 
     from ..functions.broadcast import cached_get
 
     final_dir = os.path.join(out_dir, "final")
     if os.path.isdir(final_dir):
-        return rd.read_parquet(final_dir, columns=columns)
+        return read_parquet_sized(final_dir, columns=columns)
     read_cols = (sorted({*columns, "verdict", "phash", "image_id"})
                  if columns is not None else None)
     winners = pq.read_table(os.path.join(out_dir, "final_keep", "winners.parquet"))
@@ -474,7 +470,7 @@ def read_final(out_dir: str, columns: list[str] | None = None):
         return _filter_winners(batch, wphash, wid)
 
     ds = (
-        rd.read_parquet(os.path.join(out_dir, "filtered"), columns=read_cols)
+        read_parquet_sized(os.path.join(out_dir, "filtered"), columns=read_cols)
         .map_batches(_surviving, batch_format="pyarrow")
         .map_batches(keep_winners, batch_format="pyarrow")
     )
@@ -498,17 +494,19 @@ def _finalize_winners(parts: list[tuple[np.ndarray, np.ndarray]]):
     return sp[first], si[first]
 
 
-def _tagged_read(rd, wave: list[tuple[int, str]]):
+def _tagged_read(wave: list[tuple[int, str]]):
     paths = [p for _, p in wave]
-    ranges = _id_ranges(paths, id_col="image_id")
+    footers = [pq.read_metadata(p) for p in paths]  # sizes the read and tags it
+    ranges = _id_ranges(footers, id_col="image_id")
     if ranges is not None:
-        return rd.read_parquet(paths).map_batches(
+        return read_parquet_sized(paths, footers=footers).map_batches(
             _RangeTagger([r[0] for r in ranges], [wave[i][0] for _, i in ranges]),
             batch_format="pyarrow",
         )
     parts = [
-        rd.read_parquet(path).map_batches(_FragmentTagger(frag_id), batch_format="pyarrow")
-        for frag_id, path in wave
+        read_parquet_sized(path, footers=[md]).map_batches(_FragmentTagger(frag_id),
+                                                           batch_format="pyarrow")
+        for (frag_id, path), md in zip(wave, footers)
     ]
     return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
@@ -517,7 +515,7 @@ def _surviving(t: pa.Table) -> pa.Table:
     return t.filter(pc.not_equal(t["verdict"], pa.scalar("DROP")))
 
 
-def _merge_winners_from_disk(rd, frag_dirs: list[str],
+def _merge_winners_from_disk(frag_dirs: list[str],
                              win_parts: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Append min-image_id-per-phash partials for previously committed
     fragments (resume path): reads the two key columns only."""
@@ -535,7 +533,7 @@ def _merge_winners_from_disk(rd, frag_dirs: list[str],
                          "image_id": pa.array(os_[keep], type=pa.string())})
 
     partials = (
-        rd.read_parquet(frag_dirs, columns=["phash", "image_id", "verdict"])
+        read_parquet_sized(frag_dirs, columns=["phash", "image_id", "verdict"])
         .map_batches(_surviving, batch_format="pyarrow")
         .map_batches(partial_min, batch_format="pyarrow")
     )
@@ -557,7 +555,7 @@ def _filter_winners(batch: pa.Table, wphash: np.ndarray, wid: np.ndarray) -> pa.
     return batch.filter(pa.array(mask))
 
 
-def _dedup_phase(rd, filtered_dir: str, final_dir: str,
+def _dedup_phase(filtered_dir: str, final_dir: str,
                  wp: np.ndarray, wi: np.ndarray) -> int:
     """Keep-first-by-image_id per phash using the precomputed winner
     arrays (sorted by phash, phash unique; broadcast once via ray.put →
@@ -577,7 +575,7 @@ def _dedup_phase(rd, filtered_dir: str, final_dir: str,
 
     shutil.rmtree(final_dir, ignore_errors=True)
     (
-        rd.read_parquet(filtered_dir)
+        read_parquet_sized(filtered_dir)
         .map_batches(_surviving, batch_format="pyarrow")
         .map_batches(keep_winners, batch_format="pyarrow")
         .write_parquet(final_dir, **_PAYLOAD_WRITE_ARGS)
@@ -585,14 +583,13 @@ def _dedup_phase(rd, filtered_dir: str, final_dir: str,
     return len(wp)
 
 
-def _id_ranges(paths: list[str], id_col: str):
+def _id_ranges(footers: list, id_col: str):
     """(min_id, file_pos) per file from parquet FOOTER statistics only (no
     data read). Returns None when ranges overlap (caller falls back to
     per-file tagging). Assumption documented: web-scale shards are
     id-sorted; the synthetic F1 generator writes sequential id slices."""
     spans = []
-    for i, p in enumerate(paths):
-        md = pq.ParquetFile(p).metadata
+    for i, md in enumerate(footers):
         mins, maxs = [], []
         for rg in range(md.num_row_groups):
             st = md.row_group(rg).column(0)

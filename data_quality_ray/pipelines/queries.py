@@ -33,19 +33,20 @@ from ..profiling.analyzers import HistogramAcc, QualityAcc, profile
 from ..rules import scrub as S
 from ..sampling.reservoir import reservoir_sample
 from ..similarity.knn import cosine_topk
+from ..sources.io import read_parquet_sized
 from ..stages.models import HeuristicLangID, NgramPerplexity
 
 
 def _read(sf_dir: str, table: str, columns=None, blocks: int | None = None):
-    """``blocks``: override Ray's default ~2×num_cpus split for LIGHT
-    filter/project dimension reads — 64 tiny task launches on a 1 MB
-    file cost ~5× the read itself (measured 0.39 → 0.08 s warm on the
-    sf0.1 customer table). Leave unset for any read feeding CPU-heavy
-    per-row stages (small block counts serialize them)."""
-    import ray.data as rd
-
-    kw = {"override_num_blocks": blocks} if blocks else {}
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns, **kw)
+    """Unset ``blocks`` sizes the read by ``sources.io.read_block_count``:
+    ``max(2 × CPUs, ceil(bytes / target_max_block_size))`` — Ray's own
+    rule ``max(min(200, bytes / 1 MiB), 2 × CPUs, bytes / 128 MiB)``
+    without its 200 term. ``blocks`` caps LIGHT filter/project dimension
+    reads below the 2×CPU split — 64 tiny task launches on a 1 MB file
+    cost ~5× the read itself (measured 0.39 → 0.08 s warm on the sf0.1
+    customer table, 32 CPUs). Leave it unset for any read feeding
+    CPU-heavy per-row stages (small block counts serialize them)."""
+    return read_parquet_sized(f"{sf_dir}/{table}.parquet", columns=columns, blocks=blocks)
 
 
 def _round6(x):
@@ -4718,8 +4719,6 @@ def zorder_layout_lineitem(sf_dir: str) -> pd.DataFrame:
     import shutil
     import tempfile
 
-    import ray.data as rd
-
     from ..functions.zorder import build_zorder_store, zorder_scan_stats
     from ..profiling.groupagg import grouped_aggregate
 
@@ -4735,7 +4734,7 @@ def zorder_layout_lineitem(sf_dir: str) -> pd.DataFrame:
                                    lo + 4 * span - 1)
             if not (0 < st["files_scanned"] < st["files_total"]):
                 raise AssertionError(f"no footer pruning on {col}: {st}")
-        agg = grouped_aggregate(rd.read_parquet(store, columns=["zval"]),
+        agg = grouped_aggregate(read_parquet_sized(store, columns=["zval"]),
                                 ["zval"], {"n": ("zval", "count")},
                                 final="shuffle").to_pandas()
     finally:

@@ -6,11 +6,85 @@ to the Parquet mirror with the identical schema (write side in
 sources/fixtures.write_f1). Other formats map to the matching
 ``ray.data`` reader (the AvroUtils.streamAvroFile analog for Avro —
 common/util/AvroUtils.java:194).
+
+``read_parquet_sized`` is the pipelines' parquet reader: it sizes the
+read's block count to the cluster's CPUs and the data's uncompressed
+bytes instead of Ray's fixed 200-block starting point.
 """
 
 from __future__ import annotations
 
+import glob
+import math
 import os
+
+
+def read_block_count(cpus: int, nbytes: int, target_max_block_size: int | None,
+                     blocks: int | None = None) -> int:
+    """Output blocks for a parquet read. Ray's own rule
+    (``ray.data._internal.util._autodetect_parallelism``) is
+    ``max(min(200, bytes / 1 MiB), 2 × CPUs, bytes / target_max_block_size)``;
+    its CPU-blind 200 term splits a 33 MB read into ~32 one-MiB blocks
+    on one CPU, and each block then pays a read task, a map task and, on a
+    write, a file of its own. This keeps Ray's CPU term and its memory
+    ceiling and drops the 200: ``max(2 × CPUs, ceil(bytes /
+    target_max_block_size))`` (``None`` = unlimited block size, as in
+    Ray). An explicit ``blocks`` wins."""
+    if blocks:
+        return blocks
+    mem = math.ceil(nbytes / target_max_block_size) if target_max_block_size else 1
+    return max(2 * cpus, mem, 1)
+
+
+def parquet_bytes(footers, columns: list[str] | None = None) -> int:
+    """Uncompressed bytes of ``columns`` (all when None) summed from
+    parquet footers (``pq.FileMetaData``) — no data page is read."""
+    wanted = set(columns) if columns is not None else None
+    total = 0
+    for md in footers:
+        for i in range(md.num_row_groups):
+            rg = md.row_group(i)
+            if wanted is None:
+                total += rg.total_byte_size
+                continue
+            for j in range(rg.num_columns):
+                col = rg.column(j)
+                if col.path_in_schema.split(".")[0] in wanted:
+                    total += col.total_uncompressed_size
+    return total
+
+
+def _parquet_files(paths) -> list[str]:
+    """The parquet files under ``paths`` (a file, a directory — searched
+    recursively, hidden tmp files skipped — or a list of either)."""
+    out = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        if os.path.isdir(p):
+            out += sorted(glob.glob(os.path.join(p, "**", "*.parquet"), recursive=True))
+        else:
+            out.append(p)
+    return out
+
+
+def read_parquet_sized(paths, columns: list[str] | None = None,
+                       blocks: int | None = None, footers=None):
+    """``ray.data.read_parquet`` with ``override_num_blocks`` from
+    :func:`read_block_count`: CPUs from ``ray.cluster_resources()``,
+    bytes from the files' footers (pass ``footers`` when the caller has
+    already read them). ``blocks`` overrides the rule."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data as rd
+
+    if not blocks:
+        if footers is None:
+            footers = [pq.read_metadata(f) for f in _parquet_files(paths)]
+        # an uninitialized session auto-starts on all local CPUs
+        cpus = (ray.cluster_resources().get("CPU", 1) if ray.is_initialized()
+                else os.cpu_count() or 1)
+        blocks = read_block_count(int(cpus), parquet_bytes(footers, columns),
+                                  rd.DataContext.get_current().target_max_block_size)
+    return rd.read_parquet(paths, columns=columns, override_num_blocks=blocks)
 
 
 def read_images(path: str, columns: list[str] | None = None):

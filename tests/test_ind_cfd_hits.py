@@ -145,3 +145,11 @@ def test_hits_star_graph(ray_session):
     assert list(auths["node"]) == [9] and auths["auth"].iloc[0] == 1.0
     r = hubs.set_index("node")["hub"]
     assert r[2] == 1.0 and r[1] == 0.5
+
+
+def test_hits_all_zero_weights_raise(ray_session):
+    from data_quality_ray.functions.graph import hits
+
+    e = pd.DataFrame({"src": [1, 2, 2], "dst": [9, 9, 8], "w": [0, 0, 0]})
+    with pytest.raises(ValueError, match="score is 0"):
+        hits(_ds(e, 1), rounds=2)

@@ -115,6 +115,25 @@ def test_metadata_final_mode_matches_rewrite(north_run, f1_dir, tmp_path):
     assert read_final(out_b).count() == stats_b["final_rows"]
 
 
+def test_final_files_sized_to_cpus(north_run):
+    """The phase-2 rewrite reads its small input in 2 × CPUs blocks (not
+    Ray's ~1 MiB split) and writes one file per block. Ray reads the
+    blocks as min(blocks, files) tasks of ceil(blocks / tasks) blocks
+    each, so fewer input files than blocks round the count up. (Row
+    identity with read_final in metadata mode is checked above.)"""
+    import glob
+    import math
+
+    import ray
+
+    out, stats = north_run
+    blocks = 2 * int(ray.cluster_resources()["CPU"])
+    tasks = min(blocks, len(glob.glob(out + "/filtered/*/*.parquet")))
+    files = glob.glob(out + "/final/*.parquet")
+    assert 0 < len(files) <= tasks * math.ceil(blocks / tasks)
+    assert sum(pq.read_metadata(f).num_rows for f in files) == stats["final_rows"]
+
+
 def test_shuffle_dedup_strategy_matches_broadcast(north_run, f1_dir, tmp_path):
     """dedup_strategy='shuffle' (unbounded-key-space path) produces the
     identical final row set as the default broadcast-winner path."""

@@ -82,3 +82,21 @@ def test_edge_minhash_clusters_expected(ray_session, edge_sf):
     clusters = dict(zip(out["doc_id"], out["cluster"]))
     assert clusters.get(4) == 0          # empty docs: 4 joins 0
     assert clusters.get(3) == 2          # singleton dup: 3 joins 2
+
+
+def test_unimax_empty_source_oracle_parity(ray_session, tmp_path):
+    """A source whose documents are all empty has n_tokens = 0: the
+    library and the oracle SQL both give it 0 allocated epochs."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as E
+
+    empty = EDGE_DOCS["text"].str.strip() == ""
+    docs = EDGE_DOCS.assign(source=np.where(empty, "blank", "t"))
+    pq.write_table(pa.Table.from_pandas(docs), str(tmp_path / "documents.parquet"))
+    mine = E.queries()["unimax_mix_docs"](str(tmp_path))
+    oracle = _oracle(E.oracle_sql()["unimax_mix_docs"], str(tmp_path))
+    blank = mine.set_index("source").loc["blank"]
+    assert blank["n_tokens"] == 0 and blank["epochs"] == 0.0
+    pd.testing.assert_frame_equal(_canon(mine), _canon(oracle), check_dtype=False)
