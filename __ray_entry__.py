@@ -2402,7 +2402,7 @@ FROM t LEFT JOIN agg a USING (doc_id) ORDER BY t.doc_id
 # Line-split via chr(10) == Python str.split("\n"); word tokens via the
 # minhash \s+ split; top-gram tie-break = lexicographically smallest gram
 # (UTF-8 byte order == code-point order on both engines). Ratios rounded
-# half-away (DuckDB's mode) on BOTH sides — see heuristics.round6_away.
+# half-away (DuckDB's mode) on BOTH sides — see heuristics.round_half_away.
 
 _GOPHER_REPETITION_SQL = r"""
 WITH t AS (SELECT doc_id, coalesce(text, '') AS s FROM documents),

@@ -22,6 +22,7 @@ import unicodedata
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from ..functions.matchers import match_score, soundex
 from ..functions.phonetics import cologne_phonetic, double_metaphone, metaphone, soundex_fr
 from ..functions.text import fingerprint_key_one
@@ -78,20 +79,6 @@ def _parse_range(p) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def gen_block_key_one(row: dict, defs: list[dict]) -> str:
-    """One blocking key from N column definitions, concatenated
-    (AbstractGenerateKey.getGenKey:46-152). Each def:
-    {column, pre, algo, algo_param, post, post_param}."""
-    parts = []
-    for d in defs:
-        v = row.get(d["column"]) or ""
-        v = PRE_ALGOS[d.get("pre")](str(v))
-        v = KEY_ALGOS[d.get("algo", "EXACT")](v, d.get("algo_param"))
-        v = POST_ALGOS[d.get("post")](v, d.get("post_param"))
-        parts.append(v)
-    return "".join(parts)
-
-
 def add_block_key(ds, defs: list[dict], out_col: str = "block_key"):
     from ..functions.text import unique_apply
 
@@ -143,8 +130,6 @@ def cluster_strings(ds, col: str, block_size_threshold: int = 1000,
       result. Same tie-break, parity-tested against "collect".
     - "auto": collect under ``CLUSTER_COLLECT_MAX_ROWS`` input rows.
     """
-    import pandas.util as pdu
-
     if strategy == "auto":
         ds = ds.materialize()
         strategy = "collect" if ds.count() <= CLUSTER_COLLECT_MAX_ROWS else "shuffle"
@@ -183,19 +168,15 @@ def cluster_strings(ds, col: str, block_size_threshold: int = 1000,
             return pd.DataFrame({"cluster_key": pd.Series(dtype=object),
                                  "value": pd.Series(dtype=object),
                                  "n": pd.Series(dtype="int64"),
-                                 "ord": pd.Series(dtype="int64"),
-                                 "__bucket": pd.Series(dtype="int64")})
+                                 "ord": pd.Series(dtype="int64")})
         vals = batch[col].to_numpy(dtype=object)
         part = pd.DataFrame({
             "value": vals,
             "cluster_key": unique_apply(vals, fingerprint_key_one),
             "__ord": batch["__ord"].to_numpy(),
         })
-        agg = part.groupby(["cluster_key", "value"], sort=False, as_index=False).agg(
+        return part.groupby(["cluster_key", "value"], sort=False, as_index=False).agg(
             n=("__ord", "size"), ord=("__ord", "min"))
-        agg["__bucket"] = (pdu.hash_array(agg["cluster_key"].to_numpy()) % n_buckets
-                           ).astype("int64")
-        return agg
 
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(["cluster_key", "value"], sort=False, as_index=False).agg(
@@ -212,11 +193,8 @@ def cluster_strings(ds, col: str, block_size_threshold: int = 1000,
         m = m.groupby("cluster_key", sort=False).head(block_size_threshold)
         return m[["value", "cluster_key", "survived", "n_values", "ord"]]
 
-    out = (
-        indexed.map_batches(partial, batch_format="pandas")
-        .groupby("__bucket").map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_exchange(indexed.map_batches(partial, batch_format="pandas"),
+                          "cluster_key", merge_bucket, n_buckets).to_pandas()
     out = out.sort_values("ord", kind="mergesort").drop(columns="ord")
     return out.reset_index(drop=True)
 
@@ -234,17 +212,9 @@ def blocked_pairs(ds, id_col: str, attr_cols: list[str], block_col: str,
     ranges and every attribute is scored by the vectorized pair kernels
     (``functions/matchers_vec.batch_match_score``) — scalar-parity-tested
     — so no per-pair Python survives for the common matchers."""
-    import pandas.util as pdu
-
     from ..functions.matchers_vec import batch_match_score
 
     w = np.array(weights or [1.0] * len(attr_cols), dtype=np.float64)
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[block_col].to_numpy()) % n_buckets
-                         ).astype("int64")
-        return b
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([block_col, id_col], kind="mergesort")
@@ -271,8 +241,7 @@ def blocked_pairs(ds, id_col: str, attr_cols: list[str], block_col: str,
         return pd.DataFrame({"id_a": ids[ia[keep]], "id_b": ids[ib[keep]],
                              "score": np.round(s[keep], 6)})
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(pairs_in_bucket, batch_format="pandas"))
+    return bucket_exchange(ds, block_col, pairs_in_bucket, n_buckets)
 
 
 def record_group(ds, id_col: str, attr_cols: list[str] | None = None,

@@ -50,6 +50,7 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from .minhash import (
     _cached_hasher,
     dedup_pairs_dataset,
@@ -115,11 +116,6 @@ def candidate_pairs_containment(postings, id_col: str, n_buckets: int = 64,
     pairs (id_a < id_b). Never a Python callback per tiny posting group
     — one vectorized pass per hash bucket."""
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (b["token"].to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["token", "role", id_col], kind="mergesort")
         ids = g[id_col].to_numpy()
@@ -147,9 +143,7 @@ def candidate_pairs_containment(postings, id_col: str, n_buckets: int = 64,
         return pd.DataFrame({"id_a": np.minimum(ids[ia], ids[ib]),
                              "id_b": np.maximum(ids[ia], ids[ib])})
 
-    out = (postings.map_batches(add_bucket, batch_format="pandas")
-           .groupby("__bucket").map_groups(pairs_in_bucket,
-                                           batch_format="pandas"))
+    out = bucket_exchange(postings, "token", pairs_in_bucket, n_buckets)
     if as_dataset:
         return dedup_pairs_dataset(out)
     return (out.to_pandas().drop_duplicates(subset=["id_a", "id_b"])
@@ -234,30 +228,24 @@ def containment_dedup(ds, id_col: str, text_col: str, threshold: float = 0.8,
                  else np.empty(0, dtype=np.int64))
         lref = ray.put((lut_ids, lut_n))
 
-        import pandas.util as pdu
-
         def fold_batch(b: pd.DataFrame) -> pd.DataFrame:
-            # per-batch partial: dominated (id, by-min) + id-hash bucket,
-            # so the keyed exchange moves ≤ one row per (id, batch)
+            # per-batch partial: dominated (id, by-min), so the keyed
+            # exchange moves ≤ one row per (id, batch)
             if b.empty:  # schemaless empty block from a zero-pair corpus
                 return pd.DataFrame({"id": pd.Series(dtype=np.int64),
-                                     "by": pd.Series(dtype=np.int64),
-                                     "__bucket": pd.Series(dtype=np.int64)})
+                                     "by": pd.Series(dtype=np.int64)})
             li, ln = cached_get(lref)
             b = b.copy()
             b["n_a"] = ln[np.searchsorted(li, b["id_a"].to_numpy())]
             b["n_b"] = ln[np.searchsorted(li, b["id_b"].to_numpy())]
-            d = _dominated(b).rename(columns={"contained_in": "by"})
-            d["__bucket"] = (pdu.hash_array(d["id"].to_numpy()) % 64).astype("int64")
-            return d
+            return _dominated(b).rename(columns={"contained_in": "by"})
 
         def min_by(g: pd.DataFrame) -> pd.DataFrame:
             return (g.groupby("id", sort=True)["by"].min()
                     .rename("contained_in").reset_index())
 
-        dom = (verified.map_batches(fold_batch, batch_format="pandas")
-               .groupby("__bucket").map_groups(min_by, batch_format="pandas")
-               ).to_pandas()
+        dom = bucket_exchange(verified.map_batches(fold_batch, batch_format="pandas"),
+                              "id", min_by).to_pandas()
         dom_ids = dom["id"].to_numpy() if len(dom) else np.empty(0, np.int64)
         dorder = np.argsort(dom_ids, kind="mergesort")
         dom_ids = dom_ids[dorder]

@@ -24,8 +24,9 @@ import numpy as np
 import pyarrow as pa
 
 from ..dedup.minhash import shingle_strings
+from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import HASH64
-from ..rules.heuristics import round6_away
+from ..rules.heuristics import round_half_away
 
 
 def _doc_gram_hashes(texts, k: int, hash_fn: str):
@@ -64,7 +65,7 @@ def decontaminate(ds, text_col: str, id_col: str, bench_hashes: np.ndarray,
                   threshold: float = 0.1):
     """→ Dataset of (id_col, n_grams, n_hits, contam_frac, contaminated):
     per-doc distinct-gram count, how many of those grams appear in the
-    benchmark, their ratio (round6_away — DuckDB's rounding mode), and
+    benchmark, their ratio (round_half_away — DuckDB's rounding mode), and
     the ``contam_frac >= threshold`` verdict. Empty docs: 0/0/0.0/False.
 
     Scale: ``bench_hashes`` rides the object store once (``ray.put`` +
@@ -89,7 +90,7 @@ def decontaminate(ds, text_col: str, id_col: str, bench_hashes: np.ndarray,
         csum = np.concatenate(([0], np.cumsum(hit.astype(np.int64))))
         ends = np.cumsum(counts)
         n_hits = csum[ends] - csum[ends - counts]
-        frac = round6_away(n_hits / np.maximum(counts, 1))
+        frac = round_half_away(n_hits / np.maximum(counts, 1))
         return pa.table({
             id_col: b[id_col],
             "n_grams": pa.array(counts, type=pa.int64()),
@@ -254,14 +255,12 @@ def decontaminate_bloom(ds, text_col: str, id_col: str, bench_gram_ds,
             "side": pa.array(np.full(len(h), 2, dtype=np.int8)),
         })
 
-    import pandas.util as pdu
-
-    def bucket_a(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
+    def key_a(b: pd.DataFrame) -> pd.DataFrame:
+        # summary rows spread by doc id, candidates meet bench grams by
+        # gram hash (ids are integers: the bench side carries int64 zeros)
         summary = b["side"].to_numpy() == 0
-        hb = pdu.hash_array(b["h"].to_numpy()) % n_buckets
-        ib = pdu.hash_array(b[id_col].to_numpy()) % n_buckets
-        b["__bucket"] = np.where(summary, ib, hb).astype("int64")
+        b["__k"] = np.where(summary, b[id_col].to_numpy().astype(np.uint64),
+                            b["h"].to_numpy())
         return b
 
     def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -280,16 +279,10 @@ def decontaminate_bloom(ds, text_col: str, id_col: str, bench_gram_ds,
                                 ignore_index=True)
         return out
 
-    def bucket_b(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[id_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(id_col, sort=False).agg(
             n_grams=("n_grams", "sum"), n_hits=("n_hits", "sum")).reset_index()
-        frac = round6_away(agg["n_hits"].to_numpy()
+        frac = round_half_away(agg["n_hits"].to_numpy()
                            / np.maximum(agg["n_grams"].to_numpy(), 1))
         agg["contam_frac"] = frac
         agg["contaminated"] = frac >= threshold
@@ -298,13 +291,9 @@ def decontaminate_bloom(ds, text_col: str, id_col: str, bench_gram_ds,
     stream = (ds.select_columns([id_col, text_col])
               .map_batches(probe, batch_format="pyarrow")
               .union(gram_ds.map_batches(tag_bench, batch_format="pyarrow"))
-              .map_batches(bucket_a, batch_format="pandas")
-              .groupby("__bucket")
-              .map_groups(verify_bucket, batch_format="pandas")
-              .map_batches(bucket_b, batch_format="pandas")
-              .groupby("__bucket")
-              .map_groups(finish, batch_format="pandas"))
-    return stream
+              .map_batches(key_a, batch_format="pandas"))
+    verified = bucket_exchange(stream, "__k", verify_bucket, n_buckets)
+    return bucket_exchange(verified, id_col, finish, n_buckets)
 
 
 # matched-corpus maps at or below this size broadcast as sorted arrays;
@@ -334,7 +323,6 @@ def fuzzy_decontaminate(corpus_ds, bench_ds, id_col: str, text_col: str,
     broadcasts under ``FUZZY_BROADCAST_MAX_ROWS`` and rides a
     ``hash_join`` exchange above. → Dataset of (id, contaminated,
     match_id[None when clean]) over all corpus rows."""
-    import pandas.util as pdu
     import ray
 
     import pandas as pd
@@ -359,13 +347,6 @@ def fuzzy_decontaminate(corpus_ds, bench_ds, id_col: str, text_col: str,
                             seed, hash_fn).map_batches(
                                 tag(1), batch_format="pandas")
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pdu.hash_array(b["band_hash"].to_numpy()) ^ pdu.hash_array(
-            b["band_id"].to_numpy())
-        b["__bucket"] = (h % n_buckets).astype("int64")
-        return b
-
     def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:
         c = g[g["__side"] == 0][["band_id", "band_hash", id_col]]
         v = g[g["__side"] == 1][["band_id", "band_hash", id_col]]
@@ -378,10 +359,8 @@ def fuzzy_decontaminate(corpus_ds, bench_ds, id_col: str, text_col: str,
                                  f"{id_col}_b": "id_b"})
                 .drop_duplicates())
 
-    pair_ds = (bands_c.union(bands_b)
-               .map_batches(add_bucket, batch_format="pandas")
-               .groupby("__bucket")
-               .map_groups(cross_pairs, batch_format="pandas"))
+    pair_ds = bucket_exchange(bands_c.union(bands_b), ["band_id", "band_hash"],
+                              cross_pairs, n_buckets)
     pair_ds = dedup_pairs_dataset(pair_ds, keep_cols=("id_a", "id_b"))
 
     both = corpus_ds.select_columns([id_col, text_col]).union(

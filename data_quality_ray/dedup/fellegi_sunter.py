@@ -67,13 +67,3 @@ def fs_em(pat: pd.DataFrame, bits: list[str], rounds: int = 5,
     scored["posterior"] = np.round(g, 6)
     scored["is_link"] = g >= 0.9
     return m, u, p, scored
-
-
-def pattern_counts(pairs_ds, bits: list[str]) -> pd.DataFrame:
-    """Fold a candidate-pair Dataset to the 2^K pattern table — one
-    grouped exchange; only patterns reach the driver."""
-    from ..profiling.groupagg import grouped_aggregate
-
-    out = grouped_aggregate(pairs_ds, bits, {"n": (bits[0], "count")},
-                            final="driver")
-    return out.sort_values(bits).reset_index(drop=True)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from .exact import dedup_by_content
 
 LINE_SEP = "\n"
@@ -68,14 +69,6 @@ def explode_lines(ds, id_col: str, text_col: str):
 def _reassemble(lines_ds, id_col: str, n_buckets: int = 32):
     """(id, n_kept, text) per doc with >= 1 surviving line — hash-bucketed
     groupby, lines re-joined in original ``__idx`` order."""
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[id_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "__idx"], kind="mergesort")
         gb = g.groupby(id_col, sort=True)
@@ -84,8 +77,7 @@ def _reassemble(lines_ds, id_col: str, n_buckets: int = 32):
         out["n_kept"] = gb.size().to_numpy()
         return out[[id_col, "n_kept", "text"]]
 
-    return (lines_ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(join_bucket, batch_format="pandas"))
+    return bucket_exchange(lines_ds, id_col, join_bucket, n_buckets)
 
 
 def paragraph_dedup(ds, id_col: str, text_col: str, n_buckets: int = 32):

@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
+
 
 def fuzzy_join(left_ds, right_ds, left_key: str, right_key: str,
                left_col: str, right_col: str, block_col: str,
@@ -49,8 +51,6 @@ def fuzzy_join(left_ds, right_ds, left_key: str, right_key: str,
     ``max_distance`` and follow ``match_score`` null semantics under
     ``min_score``.
     """
-    import pandas.util as pdu
-
     from ..functions.matchers_vec import (batch_match_score,
                                           levenshtein_pairs_bounded)
 
@@ -72,12 +72,6 @@ def fuzzy_join(left_ds, right_ds, left_key: str, right_key: str,
                                  "__block": b[block_col],
                                  "__side": np.int8(side)})
         return _tag
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b["__block"].to_numpy())
-                         % np.uint64(n_buckets)).astype("int64")
-        return b
 
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("__block", kind="mergesort")
@@ -148,6 +142,5 @@ def fuzzy_join(left_ds, right_ds, left_key: str, right_key: str,
 
     tagged = (left_ds.map_batches(tag(0, left_key, left_col), batch_format="pandas")
               .union(right_ds.map_batches(tag(1, right_key, right_col),
-                                          batch_format="pandas"))
-              .map_batches(add_bucket, batch_format="pandas"))
-    return tagged.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+                                          batch_format="pandas")))
+    return bucket_exchange(tagged, "__block", join_bucket, n_buckets)

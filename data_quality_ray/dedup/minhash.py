@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import HASH64
 
 _P = np.uint64((1 << 61) - 1)  # Mersenne prime 2^61-1
@@ -194,15 +195,6 @@ def candidate_pairs(band_ds, id_col: str, strategy: str = "auto",
         raise ValueError("as_dataset=True requires strategy='shuffle'")
 
     if strategy == "shuffle":
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            import pandas.util as pdu
-
-            h = pdu.hash_array(b["band_hash"].to_numpy()) ^ pdu.hash_array(
-                b["band_id"].to_numpy())
-            b["__bucket"] = (h % 64).astype("int64")
-            return b
-
         def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
             g = g.drop_duplicates(["band_id", "band_hash", id_col])
             dup = g[g.duplicated(["band_id", "band_hash"], keep=False)]
@@ -213,10 +205,7 @@ def candidate_pairs(band_ds, id_col: str, strategy: str = "auto",
             return m[[f"{id_col}_a", f"{id_col}_b"]].rename(
                 columns={f"{id_col}_a": "id_a", f"{id_col}_b": "id_b"}).drop_duplicates()
 
-        out = (
-            band_ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(pairs_in_bucket, batch_format="pandas")
-        )
+        out = bucket_exchange(band_ds, ["band_id", "band_hash"], pairs_in_bucket)
         if as_dataset:
             return dedup_pairs_dataset(out)
         return out.to_pandas().drop_duplicates().reset_index(drop=True)
@@ -242,23 +231,13 @@ def dedup_pairs_dataset(pair_ds, keep_cols=("id_a", "id_b"), n_buckets: int = 64
     Default reducer is uniqueness (``drop_duplicates``); pass ``reducer``
     for other per-pair folds (e.g. winnowing's shared-count sum). Shared
     by minhash / simhash / embedding / winnow dataset routes."""
-    import pandas.util as pdu
-
-    def pair_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = pdu.hash_array(b["id_a"].to_numpy()) ^ pdu.hash_array(
-            b["id_b"].to_numpy())
-        b["__pb"] = (h % n_buckets).astype("int64")
-        return b
-
     cols = list(keep_cols)
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["id_a", "id_b"])[cols]
 
-    return (pair_ds.map_batches(pair_bucket, batch_format="pandas")
-            .groupby("__pb").map_groups(reducer or dedup_bucket,
-                                        batch_format="pandas"))
+    return bucket_exchange(pair_ds, ["id_a", "id_b"], reducer or dedup_bucket,
+                           n_buckets)
 
 
 def jaccard(text_a: str, text_b: str, shingle_size: int = 3, hash_fn: str = "stable") -> float:
@@ -325,16 +304,6 @@ def distributed_components(pairs_ds, n_buckets: int = 64, max_iter: int = 64,
         batch_format="pandas",
     )
 
-    def add_bucket(col):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            import pandas.util as pdu
-
-            b = b.copy()
-            b["__bucket"] = (pdu.hash_array(b[col].to_numpy()) % n_buckets).astype("int64")
-            return b
-
-        return f
-
     for _ in range(max_iter):
         # join edges with labels on src (bucketed repartition join), emit
         # candidate labels for dst, min-combine with current labels.
@@ -355,11 +324,8 @@ def distributed_components(pairs_ds, n_buckets: int = 64, max_iter: int = 64,
             m = edg.merge(lbl, on="key", suffixes=("_dst", "_lbl"))
             return pd.DataFrame({"id": m["val_dst"], "lbl": m["val_lbl"]})
 
-        msgs = (
-            tagged_e.union(tagged_l)
-            .map_batches(add_bucket("key"), batch_format="pandas")
-            .groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
-        )
+        msgs = bucket_exchange(tagged_e.union(tagged_l), "key", join_bucket,
+                               n_buckets)
 
         def min_bucket(g: pd.DataFrame) -> pd.DataFrame:
             agg = g.groupby("id", as_index=False).agg(new=("lbl", "min"))
@@ -370,22 +336,18 @@ def distributed_components(pairs_ds, n_buckets: int = 64, max_iter: int = 64,
                    .groupby("id", as_index=False).agg(old=("lbl", "min")))
             return agg.merge(old, on="id")
 
-        merged = (
-            labels.map_batches(
-                lambda b: pd.DataFrame({"id": b["id"], "lbl": b["lbl"],
-                                        "tag": np.ones(len(b), dtype=np.int8)}),
-                batch_format="pandas")
-            .union(msgs.map_batches(
+        tagged = labels.map_batches(
+            lambda b: pd.DataFrame({"id": b["id"], "lbl": b["lbl"],
+                                    "tag": np.ones(len(b), dtype=np.int8)}),
+            batch_format="pandas").union(msgs.map_batches(
                 lambda b: pd.DataFrame({"id": b["id"], "lbl": b["lbl"],
                                         "tag": np.zeros(len(b), dtype=np.int8)}),
                 batch_format="pandas"))
-            .map_batches(add_bucket("id"), batch_format="pandas")
-            .groupby("__bucket").map_groups(min_bucket, batch_format="pandas")
-            # cap the label block count: union+map_groups otherwise
-            # compounds blocks round over round (24→56→120→248→504
-            # measured), turning O(diameter) rounds superlinear
-            .repartition(n_buckets)
-        ).materialize()
+        # cap the label block count: union+map_groups otherwise
+        # compounds blocks round over round (24→56→120→248→504
+        # measured), turning O(diameter) rounds superlinear
+        merged = (bucket_exchange(tagged, "id", min_bucket, n_buckets)
+                  .repartition(n_buckets).materialize())
         changed = merged.map_batches(
             lambda b: pd.DataFrame({"c": [int((b["new"] < b["old"]).sum())]}),
             batch_format="pandas").sum("c")
@@ -608,7 +570,6 @@ def _verify_shuffle(ds, pairs_idx, cand_sorted: np.ndarray, id_col: str,
     """Distributed Jaccard verification core → Dataset of verified
     (id_a, id_b). ``pairs_idx`` carries (id_a, id_b, __pair_id)."""
     import ray
-    import pandas.util as pdu
 
     from ..functions.broadcast import cached_get
 
@@ -647,13 +608,6 @@ def _verify_shuffle(ds, pairs_idx, cand_sorted: np.ndarray, id_col: str,
             "__tag": np.ones(len(b), dtype=np.int8),
         })
 
-    def add_bucket(col, n):
-        def f(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = (pdu.hash_array(b[col].to_numpy()) % n).astype("int64")
-            return b
-        return f
-
     def attach_bucket(g: pd.DataFrame) -> pd.DataFrame:
         hv = g[g["__tag"] == 0][["__key", "pair_id", "role", "id_a", "id_b"]]
         tx = g[g["__tag"] == 1][["__key", "__text"]].drop_duplicates("__key")
@@ -662,13 +616,10 @@ def _verify_shuffle(ds, pairs_idx, cand_sorted: np.ndarray, id_col: str,
                              "id_a": m["id_a"], "id_b": m["id_b"],
                              "text": m["__text"].astype(object)})
 
-    attached = (
-        ds.map_batches(filter_texts, batch_format="pandas")
-        .map_batches(tag_texts, batch_format="pandas")
-        .union(pairs_idx.map_batches(to_halves, batch_format="pandas"))
-        .map_batches(add_bucket("__key", n_buckets), batch_format="pandas")
-        .groupby("__bucket").map_groups(attach_bucket, batch_format="pandas")
-    )
+    tagged = (ds.map_batches(filter_texts, batch_format="pandas")
+              .map_batches(tag_texts, batch_format="pandas")
+              .union(pairs_idx.map_batches(to_halves, batch_format="pandas")))
+    attached = bucket_exchange(tagged, "__key", attach_bucket, n_buckets)
 
     def verify_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
@@ -683,10 +634,7 @@ def _verify_shuffle(ds, pairs_idx, cand_sorted: np.ndarray, id_col: str,
         return pd.DataFrame({"id_a": g["id_a"].to_numpy()[::2][keep],
                              "id_b": g["id_b"].to_numpy()[::2][keep]})
 
-    return (
-        attached.map_batches(add_bucket("pair_id", n_buckets), batch_format="pandas")
-        .groupby("__bucket").map_groups(verify_bucket, batch_format="pandas")
-    )
+    return bucket_exchange(attached, "pair_id", verify_bucket, n_buckets)
 
 
 def minhash_dedup(ds, id_col: str, text_col: str, threshold: float = 0.7,

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
+
 # comp label maps at or below this row count broadcast as sorted arrays;
 # above it the label assignment rides a hash_join exchange instead (the
 # map is bounded by the DUPLICATED row count, which at web scale can
@@ -28,14 +30,9 @@ def exact_key_edges(ds, id_col: str, key_col: str, n_buckets: int = 64):
     identical non-null key. One hash-bucketed exchange; inside each
     bucket a vectorized pandas transform — never a callback per tiny
     group. → Dataset of (id_a, id_b)."""
-    import pandas.util as pdu
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[[id_col, key_col]].dropna(subset=[key_col])
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[key_col].to_numpy(dtype=object))
-                         % n_buckets).astype("int64")
-        return b
+    def keyed(b: pd.DataFrame) -> pd.DataFrame:
+        return b[[id_col, key_col]].dropna(subset=[key_col])
 
     def edges_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         win = g.groupby(key_col, sort=False)[id_col].transform("min")
@@ -43,9 +40,8 @@ def exact_key_edges(ds, id_col: str, key_col: str, n_buckets: int = 64):
         return pd.DataFrame({"id_a": win.to_numpy()[m],
                              "id_b": g[id_col].to_numpy()[m]})
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(edges_in_bucket, batch_format="pandas"))
+    return bucket_exchange(ds.map_batches(keyed, batch_format="pandas"),
+                           key_col, edges_in_bucket, n_buckets)
 
 
 def multimodal_dedup(ds, id_col: str, sig_col: str, text_col: str,

@@ -42,10 +42,12 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import CountMinSketch
 from .minhash import (
     UNION_FIND_MAX_PAIRS,
     _cached_hasher,
+    dedup_pairs_dataset,
     distributed_components,
     union_find_components,
     verify_pairs,
@@ -192,11 +194,6 @@ def candidate_pairs_ssjoin(postings, id_col: str, threshold: float,
     one more keyed shuffle (the minhash ``candidate_pairs`` shape) and
     the pair set never lands on the driver."""
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (b["token"].to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["token", id_col])
         g = g.sort_values(["token", id_col], kind="mergesort")
@@ -231,26 +228,9 @@ def candidate_pairs_ssjoin(postings, id_col: str, threshold: float,
         # ids ascend within each posting run, so id_a < id_b already
         return pd.DataFrame({"id_a": ids[ia[keep]], "id_b": ids[ib[keep]]})
 
-    out = (
-        postings.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    out = bucket_exchange(postings, "token", pairs_in_bucket, n_buckets)
     if as_dataset:
-        import pandas.util as pdu
-
-        def pair_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            h = pdu.hash_array(b["id_a"].to_numpy()) ^ pdu.hash_array(
-                b["id_b"].to_numpy())
-            b["__pb"] = (h % 64).astype("int64")
-            return b
-
-        def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            return g.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b"]]
-
-        return (out.map_batches(pair_bucket, batch_format="pandas")
-                .groupby("__pb").map_groups(dedup_bucket, batch_format="pandas"))
+        return dedup_pairs_dataset(out)
     return (out.to_pandas().drop_duplicates(subset=["id_a", "id_b"])
             .reset_index(drop=True))
 

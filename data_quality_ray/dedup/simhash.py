@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import HASH64
 
 # pandas-output pair sets below this MEASURED row count collect to the
@@ -111,17 +112,6 @@ def hamming_candidates(ds, id_col: str, sig_col: str,
             "simhash": np.repeat(sh, n_blocks),
         })
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        # hash-bucket the (block_id, block_val) GROUPS — one callback per
-        # bucket of many groups, never per tiny group
-        b = b.copy()
-        h = pdu.hash_array(b["block_val"].to_numpy()) ^ pdu.hash_array(
-            b["block_id"].to_numpy())
-        b["__bucket"] = (h % 64).astype("int64")
-        return b
-
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["block_id", "block_val", id_col])
         g = g.sort_values(["block_id", "block_val", id_col], kind="mergesort")
@@ -144,12 +134,10 @@ def hamming_candidates(ds, id_col: str, sig_col: str,
         return pd.DataFrame({"id_a": ids[ia[keep]], "id_b": ids[ib[keep]],
                              "hamming": d[keep]})
 
-    pair_ds = (
-        ds.map_batches(explode, batch_format="pandas")
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    # hash-bucket the (block_id, block_val) GROUPS — one callback per
+    # bucket of many groups, never per tiny group
+    pair_ds = bucket_exchange(ds.map_batches(explode, batch_format="pandas"),
+                              ["block_id", "block_val"], pairs_in_bucket)
     from .minhash import dedup_pairs_dataset
 
     if output == "dataset":

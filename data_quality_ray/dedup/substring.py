@@ -39,6 +39,7 @@ import re
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import md5_hash64
 
 DUP_COLLECT_MAX = 2_000_000
@@ -148,14 +149,6 @@ def substring_dedup(ds, id_col: str, text_col: str, n: int = 8,
     win = ds.map_batches(windows, batch_format="pandas")
     hits = hash_join(win, dup, on="h", right_cols=["h"], n_buckets=n_buckets)
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[id_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     def starts_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized list-agg: sort + boundary split, no per-doc callback
         g = g.sort_values([id_col, "s"], kind="mergesort")
@@ -170,9 +163,7 @@ def substring_dedup(ds, id_col: str, text_col: str, n: int = 8,
             id_col: ids[np.concatenate([[0], bounds])],
             "starts": [",".join(map(str, a)) for a in np.split(s, bounds)]})
 
-    per_doc = (hits.map_batches(add_bucket, batch_format="pandas")
-               .groupby("__bucket").map_groups(starts_per_doc,
-                                               batch_format="pandas"))
+    per_doc = bucket_exchange(hits, id_col, starts_per_doc, n_buckets)
     joined = hash_join(ds, per_doc, on=id_col,
                        right_cols=[id_col, "starts"], how="left",
                        n_buckets=n_buckets)

@@ -19,6 +19,8 @@ import re
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
+
 
 def _nonnull(s: pd.Series) -> pd.Series:
     return s[s.notna() & (s.astype(str).str.strip() != "")]
@@ -121,13 +123,6 @@ def expression_first(s: pd.Series, expr):
     v = _nonnull(s)
     hits = sorted(x for x in v if pred(x))
     return hits[0] if hits else None
-
-
-def most_complete(df: pd.DataFrame):
-    """Row-level: the row with the most non-empty fields (ties → first in
-    stable order) — survives as the base record."""
-    filled = df.notna().sum(axis=1) + (df.astype(str).apply(lambda c: c.str.strip() != "").sum(axis=1))
-    return df.loc[filled.idxmax()]
 
 
 RULE_FUNCTIONS = {
@@ -246,7 +241,7 @@ def golden_records(ds, group_col: str, rules: dict[str, str | tuple],
     (name, param) for MatchRegex / ExcludeValues / FillEmpty).
 
     When every rule is one of the vectorizable named rules, groups are
-    hash-bucketed (``key % n_buckets``) and each bucket resolves ALL its
+    hash-bucketed (``bucket_exchange``) and each bucket resolves ALL its
     groups with pandas groupby aggregations — one Python call per bucket
     instead of one per group (the per-tiny-group callback is the classic
     map_groups scaling trap). Parameterized rules fall back to the
@@ -261,17 +256,6 @@ def golden_records(ds, group_col: str, rules: dict[str, str | tuple],
         return ds.groupby(group_col).map_groups(
             lambda g: _resolve_group(g, group_col, rules), batch_format="pandas")
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[group_col].to_numpy()) % n_buckets).astype("int64")
-        return b
-
-    out = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda b: _resolve_bucket_vectorized(b, group_col, rules),
-                    batch_format="pandas")
-    )
-    return out
+    return bucket_exchange(
+        ds, group_col, lambda b: _resolve_bucket_vectorized(b, group_col, rules),
+        n_buckets)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import md5_hash64
 
 _B = np.uint64(1000003)                      # odd => invertible mod 2^64
@@ -140,11 +141,8 @@ def winnow_candidates(ds, id_col: str, text_col: str, k: int = 5, w: int = 4,
     default sums on the driver (pairs ≪ corpus at sane min_shared)."""
     fps = add_winnow_fingerprints(ds, id_col, text_col, k, w, hash_fn)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.drop_duplicates(subset=["fp", id_col])[[id_col, "fp"]].copy()
-        b["__bucket"] = (b["fp"].to_numpy().view(np.uint64)
-                         % np.uint64(n_buckets)).astype("int64")
-        return b
+    def postings(b: pd.DataFrame) -> pd.DataFrame:
+        return b.drop_duplicates(subset=["fp", id_col])[[id_col, "fp"]]
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=["fp", id_col])
@@ -169,11 +167,8 @@ def winnow_candidates(ds, id_col: str, text_col: str, k: int = 5, w: int = 4,
         out["shared"] = out["shared"].astype(np.int64)
         return out
 
-    part_ds = (
-        fps.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-    )
+    part_ds = bucket_exchange(fps.map_batches(postings, batch_format="pandas"),
+                              "fp", pairs_in_bucket, n_buckets)
     if output == "dataset":
         from .minhash import dedup_pairs_dataset
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pandas.util as pdu
 
-from ..rules.heuristics import round6_away
+from ..rules.heuristics import round_half_away
+from .exchange import bucket_exchange
 
 # 1970-01-01 is a Thursday: Monday-of-week = day − ((day + 3) mod 7),
 # matching DuckDB date_trunc('week', …) (ISO weeks start Monday)
@@ -49,10 +49,7 @@ def cohort_retention(ds, user_col: str, ts_col: str,
         mask = t.notna().to_numpy()
         w = week_start_days(t.to_numpy()[mask])
         out = pd.DataFrame({user_col: b[user_col].to_numpy()[mask], "w": w})
-        out = out.drop_duplicates()
-        out["__bucket"] = (pdu.hash_array(out[user_col].to_numpy())
-                           % n_buckets).astype("int64")
-        return out
+        return out.drop_duplicates()
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(subset=[user_col, "w"])
@@ -63,11 +60,9 @@ def cohort_retention(ds, user_col: str, ts_col: str,
                 .reset_index(name="n"))
         return part
 
-    parts = (ds.select_columns([user_col, ts_col])
-             .map_batches(pairs, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(per_user, batch_format="pandas")
-             .to_pandas())
+    parts = bucket_exchange(
+        ds.select_columns([user_col, ts_col]).map_batches(pairs, batch_format="pandas"),
+        user_col, per_user, n_buckets).to_pandas()
     if parts.empty:
         return pd.DataFrame({"cohort_week": pd.Series(dtype="datetime64[ns]"),
                              "week_offset": pd.Series(dtype="int64"),
@@ -76,7 +71,7 @@ def cohort_retention(ds, user_col: str, ts_col: str,
     agg = (parts.groupby(["cw", "off"], sort=True)["n"].sum()
            .reset_index(name="n_users"))
     size = agg[agg["off"] == 0].set_index("cw")["n_users"]
-    agg["retention"] = round6_away(
+    agg["retention"] = round_half_away(
         agg["n_users"].to_numpy()
         / size.reindex(agg["cw"]).to_numpy().astype(np.float64))
     return pd.DataFrame({
@@ -120,7 +115,7 @@ def tumbling_aggregate(ds, ts_col: str, group_cols: list[str],
     keys = group_cols + ["window_start"]
     agg = parts.groupby(keys, sort=True).agg(
         n=("n", "sum"), s=("s", "sum")).reset_index()
-    agg["avg_value"] = round6_away(agg["s"].to_numpy()
+    agg["avg_value"] = round_half_away(agg["s"].to_numpy()
                                    / agg["n"].to_numpy().astype(np.float64))
     agg["sum_value"] = agg["s"].round(2)
     agg["n"] = agg["n"].astype("int64")

@@ -27,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 STATUS_ADDED = "added"
 STATUS_REMOVED = "removed"
 STATUS_CHANGED = "changed"
@@ -46,8 +48,6 @@ def table_diff(old_ds, new_ds, key: str, compare_cols: list[str],
     ``key`` must be unique within each snapshot (a primary key — the CDC
     contract); violations raise inside the bucket that sees them.
     """
-    import pandas.util as pdu
-
     cols = [key, *compare_cols]
 
     def tag(side: int):
@@ -56,12 +56,6 @@ def table_diff(old_ds, new_ds, key: str, compare_cols: list[str],
             out["__side"] = np.int8(side)
             return out
         return _tag
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[key].to_numpy())
-                         % np.uint64(n_buckets)).astype("int64")
-        return b
 
     def diff_bucket(g: pd.DataFrame) -> pd.DataFrame:
         old = g[g["__side"] == 0][cols]
@@ -97,7 +91,6 @@ def table_diff(old_ds, new_ds, key: str, compare_cols: list[str],
             out = out[out["status"] != STATUS_UNCHANGED]
         return out.reset_index(drop=True)
 
-    tagged = (old_ds.map_batches(tag(0), batch_format="pandas")
-              .union(new_ds.map_batches(tag(1), batch_format="pandas"))
-              .map_batches(add_bucket, batch_format="pandas"))
-    return tagged.groupby("__bucket").map_groups(diff_bucket, batch_format="pandas")
+    tagged = old_ds.map_batches(tag(0), batch_format="pandas").union(
+        new_ds.map_batches(tag(1), batch_format="pandas"))
+    return bucket_exchange(tagged, key, diff_bucket, n_buckets)

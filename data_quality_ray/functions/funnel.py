@@ -28,21 +28,17 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 
 def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
                   steps: list[str], n_buckets: int = 32) -> pd.DataFrame:
     """→ (step 1-based, event_type, users, avg_hours_from_prev round 6;
     0.0 for step 1)."""
-    import pandas.util as pdu
-
     step_set = set(steps)
 
     def prune(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.loc[b[type_col].isin(step_set), [user_col, ts_col, type_col]]
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[user_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
+        return b.loc[b[type_col].isin(step_set), [user_col, ts_col, type_col]]
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
@@ -63,9 +59,8 @@ def funnel_counts(ds, user_col: str, ts_col: str, type_col: str,
             prev = cur
         return pd.DataFrame(rows, columns=["step", "users", "gap_sum"])
 
-    parts = (ds.map_batches(prune, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(partial, batch_format="pandas")).to_pandas()
+    parts = bucket_exchange(ds.map_batches(prune, batch_format="pandas"),
+                            user_col, partial, n_buckets).to_pandas()
     if parts.empty:
         parts = pd.DataFrame({"step": np.arange(1, len(steps) + 1),
                               "users": 0, "gap_sum": 0.0})

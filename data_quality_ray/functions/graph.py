@@ -18,6 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..rules.heuristics import round_half_away
+from .exchange import bucket_exchange
+
 RANK_ROUND = 9  # per-round quantization; final outputs re-round to 6
 
 
@@ -43,7 +46,7 @@ def pagerank(edges_ds, damping: float = 0.85, rounds: int = 5):
     nodes = np.sort(od["src"].to_numpy())
     odv = od.set_index("src")["od"].reindex(nodes).to_numpy(dtype=np.float64)
     n = len(nodes)
-    ranks = np.full(n, round(1.0 / n, RANK_ROUND))
+    ranks = np.full(n, round_half_away(1.0 / n, RANK_ROUND))
 
     for _ in range(rounds):
         ref = ray.put((nodes, ranks, odv))
@@ -59,7 +62,7 @@ def pagerank(edges_ds, damping: float = 0.85, rounds: int = 5):
                               ["dst"], {"m": ("c", "sum")}, final="driver")
         mv = m.set_index("dst")["m"].reindex(nodes).fillna(0.0) \
             .to_numpy(dtype=np.float64)
-        ranks = np.round((1.0 - damping) / n + damping * mv, RANK_ROUND)
+        ranks = round_half_away((1.0 - damping) / n + damping * mv, RANK_ROUND)
 
     return pd.DataFrame({"node": nodes, "rank": ranks})
 
@@ -120,7 +123,7 @@ def hits(edges_ds, rounds: int = 5):
         if v.max(initial=0.0) <= 0:
             raise ValueError(f"hits: every {side} score is 0 — the edge weights "
                              "must include a positive one")
-        return np.round(v / v.max(), RANK_ROUND)
+        return round_half_away(v / v.max(), RANK_ROUND)
 
     for _ in range(rounds):
         a = _normalize(_fold("src", srcs, h, "dst"), "authority")
@@ -250,14 +253,6 @@ def triangle_counts(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
 
     oriented = with_dd.map_batches(orient, batch_format="pandas")
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        import pandas.util as pdu
-
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b["src"], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized per-pivot pair enumeration: self-merge on the pivot,
         # keep one canonical (id-ordered) copy of each out-neighbor pair
@@ -267,9 +262,7 @@ def triangle_counts(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
                              "pa": m["dst_x"].to_numpy(),
                              "pb": m["dst_y"].to_numpy()})
 
-    wedge_ds = (oriented.map_batches(add_bucket, batch_format="pandas")
-                .groupby("__bucket")
-                .map_groups(wedges, batch_format="pandas"))
+    wedge_ds = bucket_exchange(oriented, "src", wedges, n_buckets)
     closing = edges_ds.map_batches(
         lambda b: b.rename(columns={"u": "pa", "v": "pb"}),
         batch_format="pandas")
@@ -437,14 +430,6 @@ def link_prediction(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
                         batch_format="pandas"),
                     on="ctr", right_cols=["dc"], n_buckets=n_buckets)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        import pandas.util as pdu
-
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b["ctr"], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def wedge_terms(g: pd.DataFrame) -> pd.DataFrame:
         # a wedge center has deg >= 2, so ln(dc) > 0 always
         f = g[["ctr", "nbr", "dc"]]
@@ -455,9 +440,7 @@ def link_prediction(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
         return pd.DataFrame({"id_a": m["nbr_x"].to_numpy(),
                              "id_b": m["nbr_y"].to_numpy(), "term": term})
 
-    terms = (adj.map_batches(add_bucket, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(wedge_terms, batch_format="pandas"))
+    terms = bucket_exchange(adj, "ctr", wedge_terms, n_buckets)
     scored = grouped_aggregate(terms, ["id_a", "id_b"],
                                {"cn": ("term", "count"),
                                 "aa_ppm": ("term", "sum")}, final="shuffle")

@@ -22,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 
 def _explode_bands(b: pd.DataFrame, start_col: str, end_col: str,
                    w: int) -> pd.DataFrame:
@@ -44,8 +46,6 @@ def interval_join(left_ds, right_ds, start_col: str = "start",
     columns keep their names, right columns that clash with a left
     column get ``suffix``. Adds ``overlap`` = min(end) - max(start)
     (int64, ≥ 0 under closed-interval semantics)."""
-    import pandas.util as pdu
-
     w = int(band_width)
     lcols = list(left_ds.schema().names)
     rcols = list(right_ds.schema().names)
@@ -67,12 +67,6 @@ def interval_join(left_ds, right_ds, start_col: str = "start",
             return out[all_cols + ["__band", "__side"]]
         return f
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b["__band"].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     tagged = (left_ds.map_batches(prep(0), batch_format="pandas")
               .union(right_ds.map_batches(prep(1), batch_format="pandas")))
 
@@ -91,6 +85,4 @@ def interval_join(left_ds, right_ds, start_col: str = "start",
         out["overlap"] = (hi - lo)[keep].astype(np.int64)
         return out
 
-    return (tagged.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(join_bucket, batch_format="pandas"))
+    return bucket_exchange(tagged, "__band", join_bucket, n_buckets)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 
 def asof_join(left_ds, right_ds, by: str, left_on: str, right_on: str,
               right_cols: list[str], how: str = "inner", n_buckets: int = 32):
@@ -28,8 +30,6 @@ def asof_join(left_ds, right_ds, by: str, left_on: str, right_on: str,
     as-of match. ``how="inner"`` drops unmatched left rows (DuckDB ASOF
     JOIN semantics); ``how="left"`` keeps them with nulls.
     ``left_on``/``right_on`` must be differently named columns."""
-    import pandas.util as pdu
-
     if left_on == right_on:
         raise ValueError("left_on and right_on must differ (rename one side)")
     left_cols = list(left_ds.schema().names)
@@ -48,11 +48,6 @@ def asof_join(left_ds, right_ds, by: str, left_on: str, right_on: str,
         out["__side"] = np.int8(1)
         return out
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[by].to_numpy()) % n_buckets).astype("int64")
-        return b
-
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["__side"] == 0][left_cols].sort_values(left_on, kind="mergesort")
         right = g[g["__side"] == 1][[by, right_on, *right_cols]]
@@ -69,12 +64,9 @@ def asof_join(left_ds, right_ds, by: str, left_on: str, right_on: str,
             merged = merged[merged[right_on].notna()]
         return merged[all_cols]
 
-    tagged = (
-        left_ds.map_batches(tag_left, batch_format="pandas")
-        .union(right_ds.map_batches(tag_right, batch_format="pandas"))
-        .map_batches(add_bucket, batch_format="pandas")
-    )
-    return tagged.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    tagged = left_ds.map_batches(tag_left, batch_format="pandas").union(
+        right_ds.map_batches(tag_right, batch_format="pandas"))
+    return bucket_exchange(tagged, by, join_bucket, n_buckets)
 
 
 def asof_join_broadcast(left_ds, right: pd.DataFrame, by: str, left_on: str,
@@ -130,14 +122,6 @@ def _restore_dtypes(frame: pd.DataFrame, dtypes: dict, cols) -> pd.DataFrame:
                 and not frame[c].isna().any()):
             frame = frame.astype({c: dt})
     return frame
-
-
-def _key_hash(frame: pd.DataFrame, keys: list[str]) -> np.ndarray:
-    """Row-wise uint64 over one or more key columns (order-sensitive
-    column mixing, so (a,b) and (b,a) land in different buckets)."""
-    import pandas.util as pdu
-
-    return pdu.hash_pandas_object(frame[keys], index=False).to_numpy()
 
 
 def hash_join(left_ds, right_ds, on, right_cols: list[str],
@@ -240,15 +224,6 @@ def hash_join(left_ds, right_ds, on, right_cols: list[str],
                              for s in range(salt)], ignore_index=True)
         return out
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        h = _key_hash(b, keys)
-        if salt > 1:
-            h = h * np.uint64(0x9E3779B97F4A7C15) \
-                + b["__salt"].to_numpy().astype(np.uint64)
-        b["__bucket"] = (h % n_buckets).astype("int64")
-        return b
-
     # the salt column joins as part of the key: two salt replicas of the
     # same key may land in one bucket, and matching on the key alone
     # would then duplicate the join output
@@ -301,12 +276,9 @@ def hash_join(left_ds, right_ds, on, right_cols: list[str],
             return outer_canon(merged.reindex(columns=all_cols))
         return merged.reindex(columns=all_cols)
 
-    tagged = (
-        left_ds.map_batches(tag_left, batch_format="pandas")
-        .union(right_ds.map_batches(tag_right, batch_format="pandas"))
-        .map_batches(add_bucket, batch_format="pandas")
-    )
-    return tagged.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    tagged = left_ds.map_batches(tag_left, batch_format="pandas").union(
+        right_ds.map_batches(tag_right, batch_format="pandas"))
+    return bucket_exchange(tagged, jk, join_bucket, n_buckets)
 
 
 def broadcast_join(left_ds, right: pd.DataFrame, on, right_cols: list[str],
@@ -441,14 +413,6 @@ def agg_join(left_ds, right_ds, on: str, aggs: dict, how: str = "left",
         out["__side"] = np.int8(1)
         return out
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        import pandas.util as pdu
-
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b[[on]], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
         left = g[g["__side"] == 0][left_cols]
         rp = g[g["__side"] == 1]
@@ -490,8 +454,6 @@ def agg_join(left_ds, right_ds, on: str, aggs: dict, how: str = "left",
                 out = out.astype(conv)
         return out
 
-    tagged = (left_ds.map_batches(tag_left, batch_format="pandas")
-              .union(right_ds.map_batches(tag_right, batch_format="pandas"))
-              .map_batches(add_bucket, batch_format="pandas"))
-    return tagged.groupby("__bucket").map_groups(merge_bucket,
-                                                 batch_format="pandas")
+    tagged = left_ds.map_batches(tag_left, batch_format="pandas").union(
+        right_ds.map_batches(tag_right, batch_format="pandas"))
+    return bucket_exchange(tagged, on, merge_bucket, n_buckets)

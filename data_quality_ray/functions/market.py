@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 __all__ = ["copurchase_lift"]
 
 
@@ -32,15 +34,7 @@ def copurchase_lift(ds, group_col: str, item_col: str, min_support: int = 2,
     """→ top-``k`` rows (a, b, n, lift) with a < b, n >= min_support,
     ordered by (lift desc, a, b); lift rounded to 6 BEFORE ranking so
     the order is reproducible across engines."""
-    import pandas.util as pdu
-
     from ..profiling.groupagg import grouped_aggregate
-
-    def prune(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[[group_col, item_col]].copy()
-        b["__bucket"] = (pdu.hash_array(b[group_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"kind": pd.Series(dtype=object),
@@ -68,9 +62,8 @@ def copurchase_lift(ds, group_col: str, item_col: str, min_support: int = 2,
                           sup[["kind", "a", "b", "n"]], ng],
                          ignore_index=True)
 
-    parts = (ds.map_batches(prune, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(partial, batch_format="pandas")).materialize()
+    parts = bucket_exchange(ds.select_columns([group_col, item_col]),
+                            group_col, partial, n_buckets).materialize()
 
     # supports + group count: item-space rows only — driver merge
     # (vectorized batch filters, never a per-row Python predicate)

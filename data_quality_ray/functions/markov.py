@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 __all__ = ["transition_matrix"]
 
 
@@ -29,15 +31,7 @@ def transition_matrix(ds, key_col: str, ts_col: str, type_col: str,
     Ordering within a key is (ts, tiebreak) — deterministic under ts
     ties, matching ``lead() OVER (PARTITION BY key ORDER BY ts,
     tiebreak)``."""
-    import pandas.util as pdu
-
     cols = [key_col, ts_col, tiebreak_col, type_col]
-
-    def prune(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[cols].copy()
-        b["__bucket"] = (pdu.hash_array(b[key_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
 
     def partial(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
@@ -53,9 +47,8 @@ def transition_matrix(ds, key_col: str, ts_col: str, type_col: str,
                .rename("n").reset_index())
         return out
 
-    parts = (ds.map_batches(prune, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(partial, batch_format="pandas")).to_pandas()
+    parts = bucket_exchange(ds.select_columns(cols), key_col, partial,
+                            n_buckets).to_pandas()
     if parts.empty:
         return pd.DataFrame({"src": [], "dst": [], "n": [], "p": []})
     agg = (parts.groupby(["src", "dst"], sort=True)["n"].sum()

@@ -28,6 +28,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .exchange import bucket_exchange
+
 
 def _block_sum(blk, col: str) -> int:
     import pyarrow.compute as pc
@@ -142,7 +144,7 @@ def assemble_sequences(ds, count_col: str, chunk_size: int, id_col: str,
                        token_fn=default_token_fn, n_buckets: int = 32,
                        prefix: str = "pack_", return_tokens: bool = False):
     """Physically assemble the packed sequences: explode docs to (doc,
-    chunk) slices, ONE hash shuffle keyed by ``chunk_id % n_buckets``,
+    chunk) slices, ONE ``bucket_exchange`` keyed by ``chunk_id``,
     then concatenate each chunk's slices in stream order inside the
     bucket — vectorized across ALL chunks of a bucket (repeat/arange
     token generation + reduceat checksums), never a Python callback per
@@ -155,11 +157,6 @@ def assemble_sequences(ds, count_col: str, chunk_size: int, id_col: str,
     c_start = prefix + "start"
     assign = pack_assignments(ds, count_col, chunk_size,
                               id_cols=[id_col, c_start], prefix=prefix)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "bucket", pa.array(b["chunk_id"].to_numpy(zero_copy_only=False)
-                               % n_buckets, type=pa.int64()))
 
     def assemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["chunk_id", c_start], kind="mergesort")
@@ -187,5 +184,4 @@ def assemble_sequences(ds, count_col: str, chunk_size: int, id_col: str,
             df["tokens"] = np.split(toks, starts[1:])
         return df
 
-    return (assign.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("bucket").map_groups(assemble, batch_format="pandas"))
+    return bucket_exchange(assign, "chunk_id", assemble, n_buckets)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 
 def scd2_collapse(ds, key_col: str, order_cols, attr_cols: list[str],
                   n_buckets: int = 64):
@@ -24,19 +26,10 @@ def scd2_collapse(ds, key_col: str, order_cols, attr_cols: list[str],
     within each key (add a unique tiebreaker column if the timestamp
     can repeat). NaN attr values compare EQUAL to NaN (SQL
     IS DISTINCT FROM semantics), so a null run stays one run."""
-    import pandas.util as pdu
-
     order = [order_cols] if isinstance(order_cols, str) else list(order_cols)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b[[key_col]], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def collapse(g: pd.DataFrame) -> pd.DataFrame:
-        g = (g.drop(columns="__bucket")
-             .sort_values([key_col] + order, kind="mergesort")
+        g = (g.sort_values([key_col] + order, kind="mergesort")
              .reset_index(drop=True))
         chg = np.ones(len(g), dtype=bool)
         if len(g) > 1:
@@ -58,6 +51,4 @@ def scd2_collapse(ds, key_col: str, order_cols, attr_cols: list[str],
         runs["is_current"] = runs["valid_to"].isna()
         return runs
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pandas")
-    return bucketed.groupby("__bucket").map_groups(collapse,
-                                                   batch_format="pandas")
+    return bucket_exchange(ds, key_col, collapse, n_buckets)

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 # ---------------------------------------------------------------------------
 # per-distinct memoized apply (LFUCache analog)
@@ -146,20 +145,10 @@ def word_pattern_one(s: str, ignore_case: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-def codepoint_length(arr: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Code-point length per value (TextLengthStatistics semantics)."""
-    return pc.utf8_length(arr)
-
-
 def token_counts(arr) -> np.ndarray:
     """Number of non-empty whitespace-separated tokens per value."""
     vals = _as_np(arr)
     return np.array([len(v.split()) if v is not None else 0 for v in vals], dtype=np.int64)
-
-
-def token_lists(arr) -> list[list[str]]:
-    vals = _as_np(arr)
-    return [v.split() if v is not None else [] for v in vals]
 
 
 # BPE-style pre-tokenizer (the GPT-2 pattern family, made RE2-safe so the
@@ -235,9 +224,3 @@ def acronym_one(s: str) -> str:
     if not s:
         return ""
     return "".join(w[0].upper() for w in s.split() if w)
-
-
-def title_case_one(s: str) -> str:
-    if s is None:
-        return ""
-    return " ".join(w[:1].upper() + w[1:].lower() for w in s.split(" "))

@@ -13,8 +13,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-import numpy as np
-
 from .datetime_patterns import is_date_str, is_time_str
 
 # Mirrors TypeInferenceUtils.java:28-45 semantics, validated against the
@@ -91,13 +89,6 @@ def infer_type_one(v: str | None, custom_date_patterns: tuple[str, ...] = ()) ->
     if is_time_str(v):
         return "TIME"
     return "STRING"
-
-
-def infer_types(values: np.ndarray) -> np.ndarray:
-    """Vectorized type verdicts with per-distinct memoization."""
-    from .text import unique_apply
-
-    return unique_apply(values.astype(object), infer_type_one)
 
 
 def dominant_type(counts: Counter | dict[str, int], threshold: float = 0.5) -> str:

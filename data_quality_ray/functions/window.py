@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .exchange import bucket_exchange
+
 _OPS = ("row_number", "lag", "lead", "cumsum", "cummin", "cummax", "cumcount",
         "count", "rank", "dense_rank", "ntile", "rolling_sum", "rolling_mean",
         "percent_rank", "cume_dist", "first_value", "last_value", "nth_value")
@@ -62,23 +64,14 @@ def window_ops(ds, by, order_by, ops: dict, n_buckets: int = 64):
 
     Returns a Dataset with the input columns plus the analytic columns.
     """
-    import pandas.util as pdu
-
     keys = [by] if isinstance(by, str) else list(by)
     order = [order_by] if isinstance(order_by, str) else list(order_by)
     for out_col, spec in ops.items():
         if spec[0] not in _OPS:
             raise ValueError(f"{out_col}: unknown window op {spec[0]!r}")
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b[keys], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def apply_window(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__bucket").sort_values(
-            keys + order, kind="mergesort").reset_index(drop=True)
+        g = g.sort_values(keys + order, kind="mergesort").reset_index(drop=True)
         gb = g.groupby(keys, sort=False)
 
         def order_breaks(tie_cols: list) -> np.ndarray:
@@ -166,9 +159,7 @@ def window_ops(ds, by, order_by, ops: dict, n_buckets: int = 64):
                 g[out_col] = getattr(gb[spec[1]], kind)()
         return g
 
-    return (ds.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(apply_window, batch_format="pandas"))
+    return bucket_exchange(ds, keys, apply_window, n_buckets)
 
 
 def sliding_distinct(ds, key_col: str, ts_col: str, window_hours: int = 6,

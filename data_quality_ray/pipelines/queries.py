@@ -25,12 +25,14 @@ from ..dedup.minhash import minhash_dedup
 from ..dedup.simhash import add_simhash
 from ..dedup.survivorship import golden_records
 from ..functions.converters import convert_distance, julian_days
+from ..functions.exchange import bucket_exchange
 from ..functions.matchers import levenshtein_distance
 from ..functions.text import fingerprint_key_one, pattern_fingerprint, token_counts, unique_apply
 from ..functions.typeinfer import infer_type_one
 from ..pipelines.quality_filter import build_docs_chain
 from ..profiling.analyzers import HistogramAcc, QualityAcc, profile
 from ..rules import scrub as S
+from ..rules.heuristics import round_half_away
 from ..sampling.reservoir import reservoir_sample
 from ..similarity.knn import cosine_topk
 from ..sources.io import read_parquet_sized
@@ -47,16 +49,6 @@ def _read(sf_dir: str, table: str, columns=None, blocks: int | None = None):
     customer table, 32 CPUs). Leave it unset for any read feeding
     CPU-heavy per-row stages (small block counts serialize them)."""
     return read_parquet_sized(f"{sf_dir}/{table}.parquet", columns=columns, blocks=blocks)
-
-
-def _round6(x):
-    """Half-AWAY-from-zero rounding at 6 dp (DuckDB ``round`` parity).
-    pandas/numpy ``.round`` is banker's: an exact half like 89/128 =
-    0.6953125 rounds to …312 there but …313 in SQL — any exact
-    rational with a power-of-two denominator can hit this, so every
-    ratio built from integer counts goes through here."""
-    v = np.asarray(x, dtype=np.float64)
-    return np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
 
 
 # Model stages here run as TASK pools: every query-level model is either
@@ -167,8 +159,8 @@ def pricing_summary(sf_dir: str) -> pd.DataFrame:
         {"sum_qty": ("l_quantity", "sum"), "sum_price": ("l_extendedprice", "sum"),
          "n": ("", "count")},
     )
-    out["avg_qty"] = _round6((out["sum_qty"] / out["n"]))
-    out["avg_price"] = _round6((out["sum_price"] / out["n"]))
+    out["avg_qty"] = round_half_away((out["sum_qty"] / out["n"]))
+    out["avg_price"] = round_half_away((out["sum_price"] / out["n"]))
     out["sum_qty"] = out["sum_qty"].round(2)
     out["sum_price"] = out["sum_price"].round(2)
     return out
@@ -183,7 +175,7 @@ def summary_orders(sf_dir: str) -> pd.DataFrame:
         {"n": ("", "count"), "sum_price": ("o_totalprice", "sum"),
          "min_price": ("o_totalprice", "min"), "max_price": ("o_totalprice", "max")},
     )
-    out["avg_price"] = _round6((out["sum_price"] / out["n"]))
+    out["avg_price"] = round_half_away((out["sum_price"] / out["n"]))
     out["sum_price"] = out["sum_price"].round(2)
     return out
 
@@ -205,7 +197,7 @@ def text_length_by_lang(sf_dir: str) -> pd.DataFrame:
         {"n": ("", "count"), "min_len": ("len", "min"), "max_len": ("len", "max"),
          "sum_len": ("len", "sum")},
     )
-    out["avg_len"] = _round6((out["sum_len"] / out["n"]))
+    out["avg_len"] = round_half_away((out["sum_len"] / out["n"]))
     return out
 
 
@@ -439,7 +431,7 @@ def knn_embeddings(sf_dir: str) -> pd.DataFrame:
     qt = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     qvec = np.asarray(qt["embedding"][int(np.flatnonzero(qt["vec_id"].to_numpy() == 0)[0])].as_py())
     out = cosine_topk(ds, "vec_id", "embedding", qvec, k=10)
-    out["sim"] = _round6(out["sim"])
+    out["sim"] = round_half_away(out["sim"])
     return out.rename(columns={"id": "vec_id"})
 
 
@@ -473,7 +465,7 @@ def ivf_store_knn_embeddings(sf_dir: str, n_lists: int = 8) -> pd.DataFrame:
             raise AssertionError(f"nprobe==n_lists must scan every list: {full_stats}")
     finally:
         shutil.rmtree(store, ignore_errors=True)
-    exact["sim"] = _round6(exact["sim"])
+    exact["sim"] = round_half_away(exact["sim"])
     return exact.rename(columns={"id": "vec_id"})[["vec_id", "sim"]]
 
 
@@ -493,7 +485,7 @@ def pq_topk_embeddings(sf_dir: str) -> pd.DataFrame:
     books = pq_train(ds, "vec_id", "embedding", m=8, ksub=16, iters=2)
     codes = pq_encode(ds, "vec_id", "embedding", books)
     out = pq_topk(codes, "vec_id", books, qvec, k=10)
-    out["adc"] = _round6(out["adc"])
+    out["adc"] = round_half_away(out["adc"])
     out["vec_id"] = out["vec_id"].astype("int64")
     out["rank"] = np.arange(1, len(out) + 1, dtype="int64")
     return out[["vec_id", "adc", "rank"]]
@@ -529,7 +521,7 @@ def ivfpq_store_embeddings(sf_dir: str, n_lists: int = 8) -> pd.DataFrame:
             raise AssertionError(f"IVF-PQ store did not prune the scan: {stats}")
     finally:
         shutil.rmtree(store, ignore_errors=True)
-    out["adc"] = _round6(out["adc"])
+    out["adc"] = round_half_away(out["adc"])
     out["vec_id"] = out["vec_id"].astype("int64")
     out["rank"] = np.arange(1, len(out) + 1, dtype="int64")
     return out[["vec_id", "adc", "rank"]]
@@ -566,7 +558,7 @@ def ivfpq_residual_embeddings(sf_dir: str, n_lists: int = 8) -> pd.DataFrame:
             raise AssertionError(f"residual store did not prune: {stats}")
     finally:
         shutil.rmtree(store, ignore_errors=True)
-    out["adc"] = _round6(out["adc"])
+    out["adc"] = round_half_away(out["adc"])
     out["vec_id"] = out["vec_id"].astype("int64")
     out["rank"] = np.arange(1, len(out) + 1, dtype="int64")
     return out[["vec_id", "adc", "rank"]]
@@ -755,7 +747,7 @@ def window_value_orders(sf_dir: str) -> pd.DataFrame:
                      ).to_pandas()
     out["o_orderkey"] = out["o_orderkey"].astype("int64")
     for c in ("pr", "cd"):
-        out[c] = _round6(out[c])
+        out[c] = round_half_away(out[c])
     for c in ("first_price", "last_price", "third_price"):
         out[c] = out[c].round(2)
     return (out[["o_orderkey", "o_orderstatus", "pr", "cd",
@@ -776,8 +768,8 @@ def moving_avg_events(sf_dir: str, frame: int = 7) -> pd.DataFrame:
     out = window_ops(ds, by="user_id", order_by=["ts", "event_id"],
                      ops={"roll_sum": ("rolling_sum", "value", frame),
                           "roll_avg": ("rolling_mean", "value", frame)}).to_pandas()
-    out["roll_sum"] = _round6(out["roll_sum"])
-    out["roll_avg"] = _round6(out["roll_avg"])
+    out["roll_sum"] = round_half_away(out["roll_sum"])
+    out["roll_avg"] = round_half_away(out["roll_avg"])
     out["event_id"] = out["event_id"].astype("int64")
     out["user_id"] = out["user_id"].astype("int64")
     return (out[["event_id", "user_id", "roll_sum", "roll_avg"]]
@@ -874,15 +866,8 @@ def matching_pairs_supplier(sf_dir: str, strategy: str = "auto") -> pd.DataFrame
     across blocks are not compared."""
     ds = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
 
-    import pandas.util as pdu
-
     def add_key(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        bk = b["s_name"].str[:14]
-        # hash-bucket the BLOCKS: one Python callback per bucket of many
-        # blocks, never per tiny block (the map_groups scaling trap)
-        b["bk"] = bk
-        b["__bucket"] = (pdu.hash_array(bk.to_numpy()) % 16).astype("int64")
+        b["bk"] = b["s_name"].str[:14]
         return b
 
     def _block_pairs(names: np.ndarray) -> pd.DataFrame:
@@ -930,10 +915,10 @@ def matching_pairs_supplier(sf_dir: str, strategy: str = "auto") -> pd.DataFrame
             {"name_a": pd.Series(dtype=object), "name_b": pd.Series(dtype=object),
              "dist": pd.Series(dtype="int64")})
     else:
-        out = (
-            ds.map_batches(add_key, batch_format="pandas")
-            .groupby("__bucket").map_groups(pairs_in_bucket, batch_format="pandas").to_pandas()
-        )
+        # hash-bucket the BLOCKS: one Python callback per bucket of many
+        # blocks, never per tiny block (the map_groups scaling trap)
+        out = bucket_exchange(ds.map_batches(add_key, batch_format="pandas"),
+                              "bk", pairs_in_bucket, 16).to_pandas()
     return out.sort_values(["name_a", "name_b"]).reset_index(drop=True)
 
 
@@ -1064,7 +1049,7 @@ def token_stats_docs(sf_dir: str) -> pd.DataFrame:
         ds.map_batches(f, batch_format="pyarrow"), ["source"],
         {"n_docs": ("", "count"), "sum_tokens": ("n_tok", "sum")},
     )
-    out["avg_tokens"] = _round6((out["sum_tokens"] / out["n_docs"]))
+    out["avg_tokens"] = round_half_away((out["sum_tokens"] / out["n_docs"]))
     return out
 
 
@@ -1087,7 +1072,7 @@ def events_hourly_window(sf_dir: str) -> pd.DataFrame:
         ["event_type", "window_start"],
         {"n": ("", "count"), "sum_value": ("value", "sum")},
     )
-    out["sum_value"] = _round6(out["sum_value"])
+    out["sum_value"] = round_half_away(out["sum_value"])
     return out
 
 
@@ -1118,7 +1103,7 @@ def events_sliding_window(sf_dir: str, size_min: int = 60, slide_min: int = 15) 
         ["event_type", "window_start"],
         {"n": ("", "count"), "sum_value": ("value", "sum")},
     )
-    out["sum_value"] = _round6(out["sum_value"])
+    out["sum_value"] = round_half_away(out["sum_value"])
     return out
 
 
@@ -1192,19 +1177,7 @@ def session_windows_events(sf_dir: str) -> pd.DataFrame:
         out.columns = ["user_id", "n_sessions", "longest_session_events"]
         return out
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b["user_id"].to_numpy()) % 32).astype("int64")
-        return b
-
-    out = (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(sessions, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucket_exchange(ds, "user_id", sessions, 32).to_pandas()
     return out.sort_values("user_id").reset_index(drop=True)
 
 
@@ -1272,7 +1245,7 @@ def json_extract_events(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({
         "event_type": agg["event_type"],
         "n": agg["n"].astype("int64"),
-        "avg_k": _round6((agg["s"] / agg["n"])),
+        "avg_k": round_half_away((agg["s"] / agg["n"])),
         "max_k": agg["mx"].astype("int64"),
     }).reset_index(drop=True)
 
@@ -1649,7 +1622,7 @@ def stratified_sample_docs(sf_dir: str) -> pd.DataFrame:
 def gopher_repetition_docs(sf_dir: str) -> pd.DataFrame:
     """Gopher-style repetition quality metrics per doc (duplicate-line
     fraction, duplicate-line char fraction, top word-2-gram char
-    fraction) — DuckDB-rounding-mode floats (round6_away) so exact
+    fraction) — DuckDB-rounding-mode floats (round_half_away) so exact
     power-of-two rational ties don't diverge between engines."""
     from ..rules.heuristics import gopher_repetition_stats
 
@@ -2121,19 +2094,11 @@ def fs_linkage_customers(sf_dir: str) -> pd.DataFrame:
     pattern fold, and EVERY EM round with unrolled CTEs. → per pattern
     (f_seg, f_bal, f_key, f_band, n_pairs, weight, posterior,
     is_link)."""
-    import pandas.util as pdu
-
     from ..dedup.fellegi_sunter import fs_em
 
     ds = _read(sf_dir, "customer",
                columns=["c_custkey", "c_nationkey", "c_acctbal",
                         "c_mktsegment"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b["c_nationkey"].to_numpy())
-                         % 32).astype("int64")
-        return b
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["c_nationkey", "c_custkey"], kind="mergesort")
@@ -2164,9 +2129,7 @@ def fs_linkage_customers(sf_dir: str) -> pd.DataFrame:
         return (pat.groupby(FS_BITS, sort=False).size().rename("n")
                 .reset_index())
 
-    partials = (ds.map_batches(add_bucket, batch_format="pandas")
-                .groupby("__bucket")
-                .map_groups(pairs_in_bucket, batch_format="pandas"))
+    partials = bucket_exchange(ds, "c_nationkey", pairs_in_bucket, 32)
     from ..profiling.groupagg import grouped_aggregate
 
     pat = grouped_aggregate(partials, FS_BITS, {"n": ("n", "sum")},
@@ -2206,7 +2169,7 @@ def neardup_cluster_stats_docs(sf_dir: str) -> pd.DataFrame:
     out = (out.groupby("cluster_size", as_index=False)["n_clusters"].sum()
            .sort_values("cluster_size").reset_index(drop=True))
     out["n_docs"] = out["cluster_size"] * out["n_clusters"]
-    out["pct_of_corpus"] = _round6((out["n_docs"] / total))
+    out["pct_of_corpus"] = round_half_away((out["n_docs"] / total))
     return out
 
 
@@ -2219,7 +2182,6 @@ def fs_entity_resolution_customers(sf_dir: str) -> pd.DataFrame:
     the shared gate, distributed min-label above), every customer
     labeled. SQL replays the whole chain incl. the recursive
     components. → (c_custkey, entity, is_rep)."""
-    import pandas.util as pdu
     import ray
     import ray.data as rd
 
@@ -2233,12 +2195,6 @@ def fs_entity_resolution_customers(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "customer",
                columns=["c_custkey", "c_nationkey", "c_acctbal",
                         "c_mktsegment"])
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b["c_nationkey"].to_numpy())
-                         % 32).astype("int64")
-        return b
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["c_nationkey", "c_custkey"], kind="mergesort")
@@ -2267,10 +2223,8 @@ def fs_entity_resolution_customers(sf_dir: str) -> pd.DataFrame:
             "f_band": (band[ia] == band[ib]).astype(np.int64),
         })
 
-    pairs = (ds.map_batches(add_bucket, batch_format="pandas")
-             .groupby("__bucket")
-             .map_groups(pairs_in_bucket, batch_format="pandas")
-             .materialize())  # two consumers: pattern fold + link filter
+    # two consumers: pattern fold + link filter
+    pairs = bucket_exchange(ds, "c_nationkey", pairs_in_bucket, 32).materialize()
 
     pat = grouped_aggregate(pairs, FS_BITS, {"n": ("id_a", "count")},
                             final="driver").sort_values(FS_BITS) \
@@ -2363,7 +2317,7 @@ def supplier_pagerank(sf_dir: str) -> pd.DataFrame:
                      damping=PAGERANK_DAMPING, rounds=PAGERANK_ROUNDS)
     sup = ranks[ranks["node"] % 2 == 1].copy()
     sup["s_suppkey"] = ((sup["node"] - 1) // 2).astype("int64")
-    sup["rank"] = _round6(sup["rank"])
+    sup["rank"] = round_half_away(sup["rank"])
     return (sup[["s_suppkey", "rank"]].sort_values("s_suppkey")
             .reset_index(drop=True))
 
@@ -2413,14 +2367,6 @@ def campaign_overlap_events(sf_dir: str) -> pd.DataFrame:
     })
     camp["end"] = camp["start"] + span // 20
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b["user_id"].to_numpy())
-                         % 32).astype("int64")
-        return b
-
     def sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "tn"], kind="mergesort")
         brk = (g["user_id"].ne(g["user_id"].shift())
@@ -2431,8 +2377,7 @@ def campaign_overlap_events(sf_dir: str) -> pd.DataFrame:
         out.columns = ["user_id", "start", "end"]
         return out.reset_index(drop=True)
 
-    iv = (ns.map_batches(add_bucket, batch_format="pandas")
-          .groupby("__bucket").map_groups(sessions, batch_format="pandas"))
+    iv = bucket_exchange(ns, "user_id", sessions, 32)
 
     joined = interval_join(iv, rd.from_pandas(camp), "start", "end",
                            band_width=3_600_000_000_000)
@@ -2444,7 +2389,7 @@ def campaign_overlap_events(sf_dir: str) -> pd.DataFrame:
     # campaign boundaries are integer-ns grid points (span*k//N), NOT
     # µs-aligned, so overlap seconds can land on exact 6-dp halves —
     # half-away rounding (DuckDB parity), not pandas banker's
-    out["total_overlap_sec"] = _round6(out["total_ns"] / 1e9)
+    out["total_overlap_sec"] = round_half_away(out["total_ns"] / 1e9)
     return (out[["user_id", "campaign_id", "n_sessions",
                  "total_overlap_sec"]]
             .sort_values(["user_id", "campaign_id"])
@@ -2869,7 +2814,7 @@ def impute_value_events(sf_dir: str) -> pd.DataFrame:
         "n_filled": agg["n_filled"].astype("int64"),
         "sum_value": agg["s"].round(2),
         "fill_mean": np.where(agg["n_filled"] > 0,
-                              _round6(agg["fs"] / agg["n_filled"]),
+                              round_half_away(agg["fs"] / agg["n_filled"]),
                               np.nan),
     }).reset_index(drop=True)
 
@@ -4381,8 +4326,8 @@ def source_quality_docs(sf_dir: str) -> pd.DataFrame:
         ds.map_batches(verdicts, batch_format="pyarrow"), ["source"],
         {"n": ("", "count"), "n_keep": ("keep", "sum"),
          "sum_tok": ("n_tok", "sum")})
-    out["keep_rate"] = _round6((out["n_keep"] / out["n"]))
-    out["avg_tokens"] = _round6((out["sum_tok"] / out["n"]))
+    out["keep_rate"] = round_half_away((out["n_keep"] / out["n"]))
+    out["avg_tokens"] = round_half_away((out["sum_tok"] / out["n"]))
     for c in ("n", "n_keep"):
         out[c] = out[c].astype("int64")
     return (out[["source", "n", "n_keep", "keep_rate", "avg_tokens"]]
@@ -4665,14 +4610,6 @@ def _coorder_edges(sf_dir: str):
 
     li = _read(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        import pandas.util as pdu
-
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b["l_orderkey"], index=False)
-                         .to_numpy() % np.uint64(64)).astype("int64")
-        return b
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         f = g[["l_orderkey", "l_partkey"]]
         m = f.merge(f, on="l_orderkey")
@@ -4680,8 +4617,7 @@ def _coorder_edges(sf_dir: str):
         return pd.DataFrame({"u": m["l_partkey_x"].to_numpy(),
                              "v": m["l_partkey_y"].to_numpy()})
 
-    pair_ds = (li.map_batches(add_bucket, batch_format="pandas")
-               .groupby("__bucket").map_groups(pairs, batch_format="pandas"))
+    pair_ds = bucket_exchange(li, "l_orderkey", pairs)
     cnt = grouped_aggregate(pair_ds, ["u", "v"], {"n": ("u", "count")},
                             final="shuffle")
     return cnt.map_batches(
@@ -4812,7 +4748,7 @@ def ks_price_lineitem(sf_dir: str) -> pd.DataFrame:
     r = ks_statistic(ds, "l_returnflag", "l_extendedprice", "A", "R")
     return pd.DataFrame({
         "n_a": [np.int64(r["n_a"])], "n_b": [np.int64(r["n_b"])],
-        "ks_stat": [float(_round6(r["ks_stat"]))],
+        "ks_stat": [float(round_half_away(r["ks_stat"]))],
         "ks_at": [round(r["ks_at"], 2)],
     })
 
@@ -4837,7 +4773,7 @@ def auc_docs(sf_dir: str) -> pd.DataFrame:
     r = roc_auc(j, "quality_score", "keep")
     return pd.DataFrame({
         "n": [np.int64(r["n"])], "n_pos": [np.int64(r["n_pos"])],
-        "n_neg": [np.int64(r["n_neg"])], "auc": [float(_round6(r["auc"]))],
+        "n_neg": [np.int64(r["n_neg"])], "auc": [float(round_half_away(r["auc"]))],
     })
 
 
@@ -4859,8 +4795,8 @@ def kappa_docs(sf_dir: str) -> pd.DataFrame:
         "n": [np.int64(r["n"])],
         "tp": [np.int64(r["tp"])], "fp": [np.int64(r["fp"])],
         "fn": [np.int64(r["fn"])], "tn": [np.int64(r["tn"])],
-        "p_o": [float(_round6(r["p_o"]))], "p_e": [float(_round6(r["p_e"]))],
-        "kappa": [float(_round6(r["kappa"]))],
+        "p_o": [float(round_half_away(r["p_o"]))], "p_e": [float(round_half_away(r["p_e"]))],
+        "kappa": [float(round_half_away(r["kappa"]))],
     })
 
 
@@ -4876,7 +4812,7 @@ def percentile_norm_docs(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
     out = grouped_percent_rank(ds, "source", "n_chars").to_pandas()
-    out["pct_rank"] = _round6(out["pct_rank"])
+    out["pct_rank"] = round_half_away(out["pct_rank"])
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -4904,8 +4840,8 @@ def ttr_sources_docs(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "documents", columns=["source", "text"])
     out = ttr_by_group(ds, "source", "text")
-    out["ttr"] = _round6(out["ttr"])
-    out["hapax_ratio"] = _round6(out["hapax_ratio"])
+    out["ttr"] = round_half_away(out["ttr"])
+    out["hapax_ratio"] = round_half_away(out["hapax_ratio"])
     return out
 
 
@@ -4919,7 +4855,7 @@ def ngram_novelty_docs(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     out = ngram_novelty(ds, "doc_id", "text", n=3)
-    out["novelty"] = _round6(out["novelty"])
+    out["novelty"] = round_half_away(out["novelty"])
     return out
 
 
@@ -4934,7 +4870,7 @@ def source_overlap_docs(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["source", "text"])
     out = source_overlap(ds, "source", "text", n=3)
     out["n_shared"] = out["n_shared"].astype("int64")
-    out["jaccard"] = _round6(out["jaccard"].astype(float))
+    out["jaccard"] = round_half_away(out["jaccard"].astype(float))
     return (out.sort_values(["source_a", "source_b"])
             .reset_index(drop=True))
 
@@ -4993,7 +4929,7 @@ def rule_ablation_docs(sf_dir: str) -> pd.DataFrame:
     out = out.drop(columns=["n_rows"])
     for c in ("n_hit", "n_first", "n_sole"):
         out[c] = out[c].astype("int64")
-    out["rescue_rate"] = _round6(out["n_sole"] / total)
+    out["rescue_rate"] = round_half_away(out["n_sole"] / total)
     return out.sort_values("rule").reset_index(drop=True)
 
 
@@ -5005,7 +4941,7 @@ def char_entropy_docs(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     out = char_entropy(ds, "doc_id", "text")
-    out["char_entropy"] = _round6(out["char_entropy"])
+    out["char_entropy"] = round_half_away(out["char_entropy"])
     return out
 
 
@@ -5019,7 +4955,7 @@ def source_concentration_docs(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "documents", columns=["source", "n_chars"])
     out = source_concentration(ds, "source", "n_chars")
     for c in ("hhi_docs", "hhi_weight", "top_share_docs"):
-        out[c] = _round6(out[c])
+        out[c] = round_half_away(out[c])
     return out
 
 
@@ -5058,7 +4994,7 @@ def auc_by_source_docs(sf_dir: str) -> pd.DataFrame:
     out = grouped_roc_auc(ds.map_batches(fused, batch_format="pyarrow"),
                           "source", "quality_score", "keep")
     out = out.rename(columns={"group": "source"})
-    out["auc"] = _round6(out["auc"].astype(float))
+    out["auc"] = round_half_away(out["auc"].astype(float))
     for c in ("n", "n_pos", "n_neg"):
         out[c] = out[c].astype("int64")
     return out.sort_values("source").reset_index(drop=True)
@@ -5074,7 +5010,7 @@ def behavior_entropy_users_events(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"])
     out = entropy_by_group(ds, "user_id", "event_type")
     out["user_id"] = out["user_id"].astype("int64")
-    out["entropy"] = _round6(out["entropy"])
+    out["entropy"] = round_half_away(out["entropy"])
     return out
 
 
@@ -5089,7 +5025,7 @@ def decayed_engagement_users_events(sf_dir: str) -> pd.DataFrame:
     ds = _read(sf_dir, "events", columns=["user_id", "ts", "value"])
     out = decayed_sum_by_group(ds, "user_id", "ts", "value", tau_s=86400.0)
     out["user_id"] = out["user_id"].astype("int64")
-    out["decayed_sum"] = _round6(out["decayed_sum"])
+    out["decayed_sum"] = round_half_away(out["decayed_sum"])
     return out
 
 
@@ -5158,7 +5094,7 @@ def late_events_events(sf_dir: str) -> pd.DataFrame:
         "window_start": pd.to_datetime(out["h"].astype("int64")),
         "n": out["n"].astype("int64"),
         "n_late": out["n_late"].astype("int64"),
-        "late_ratio": _round6(out["n_late"] / out["n"]),
+        "late_ratio": round_half_away(out["n_late"] / out["n"]),
     })
 
 
@@ -5188,25 +5124,21 @@ def grouped_tdigest_events(sf_dir: str) -> pd.DataFrame:
 
     ds = _read(sf_dir, "events", columns=["event_type", "value"])
     est = grouped_tdigest(ds, "event_type", "value", qs=(0.5, 0.95))
-    e50 = grouped_disc_quantile(ds, "event_type", "value", 0.5) \
-        .rename(columns={"q_val": "p50"})
-    e95 = grouped_disc_quantile(ds, "event_type", "value", 0.95) \
-        .rename(columns={"q_val": "p95"})
-    out = e50.merge(e95, on="event_type").sort_values("event_type") \
-        .reset_index(drop=True)
-    for q, col in ((0.5, "p50"), (0.95, "p95")):
-        lo = grouped_disc_quantile(ds, "event_type", "value",
-                                   max(q - 0.02, 0.0)) \
-            .set_index("event_type")["q_val"]
-        hi = grouped_disc_quantile(ds, "event_type", "value",
-                                   min(q + 0.02, 1.0)) \
-            .set_index("event_type")["q_val"]
+    cols = {0.5: "p50", 0.95: "p95"}
+    window = {q: (max(q - 0.02, 0.0), min(q + 0.02, 1.0)) for q in cols}
+    # the exact values and both rank-window edges off ONE count table
+    exact = grouped_disc_quantile(
+        ds, "event_type", "value",
+        [x for q, (lo, hi) in window.items() for x in (q, lo, hi)])
+    out = pd.DataFrame({"event_type": exact["event_type"],
+                        **{col: exact[q] for q, col in cols.items()}})
+    for q, col in cols.items():
+        lo, hi = window[q]
         approx = np.array([est[g][q] for g in out["event_type"]])
-        out[f"{col}_ok"] = (
-            (approx >= lo.reindex(out["event_type"]).to_numpy())
-            & (approx <= hi.reindex(out["event_type"]).to_numpy()))
-    out["p50"] = _round6(out["p50"])
-    out["p95"] = _round6(out["p95"])
+        out[f"{col}_ok"] = ((approx >= exact[lo].to_numpy())
+                            & (approx <= exact[hi].to_numpy()))
+    out["p50"] = round_half_away(out["p50"])
+    out["p95"] = round_half_away(out["p95"])
     return out
 
 
@@ -5226,7 +5158,7 @@ def emd_price_lineitem(sf_dir: str) -> pd.DataFrame:
                      decimals=2)
     return pd.DataFrame({
         "n_a": [np.int64(r["n_a"])], "n_b": [np.int64(r["n_b"])],
-        "emd": [float(_round6(r["emd"]))],
+        "emd": [float(round_half_away(r["emd"]))],
     })
 
 
@@ -5245,7 +5177,7 @@ def cusum_changepoint_events(sf_dir: str) -> pd.DataFrame:
         "change_day": [pd.Timestamp(r["change_at"])],
         "n_days": [np.int64(r["n_buckets"])],
         "n_events": [np.int64(r["n_events"])],
-        "cusum_stat": [float(_round6(r["cusum_stat"]))],
+        "cusum_stat": [float(round_half_away(r["cusum_stat"]))],
     })
 
 
@@ -5337,8 +5269,8 @@ def kmv_overlap_events(sf_dir: str) -> pd.DataFrame:
         "n_union": [np.int64(tot["n_union"])],
         "k_eff": [np.int64(k_eff)],
         "n_both_sketch": [np.int64(n_both)],
-        "jaccard_kmv": [float(_round6(n_both / k_eff))],
-        "jaccard_exact": [float(_round6(tot["n_int"] / tot["n_union"]))],
+        "jaccard_kmv": [float(round_half_away(n_both / k_eff))],
+        "jaccard_exact": [float(round_half_away(tot["n_int"] / tot["n_union"]))],
     })
 
 
@@ -5372,10 +5304,10 @@ def hits_supplier_part(sf_dir: str) -> pd.DataFrame:
     out = pd.concat([
         pd.DataFrame({"node_type": "supplier",
                       "key": hubs["node"].to_numpy(np.int64),
-                      "score": _round6(hubs["hub"].to_numpy())}),
+                      "score": round_half_away(hubs["hub"].to_numpy())}),
         pd.DataFrame({"node_type": "part",
                       "key": auths["node"].to_numpy(np.int64),
-                      "score": _round6(auths["auth"].to_numpy())}),
+                      "score": round_half_away(auths["auth"].to_numpy())}),
     ])
     return (out.sort_values(["node_type", "score", "key"],
                             ascending=[True, False, True], kind="mergesort")
@@ -5464,7 +5396,7 @@ def unimax_mix_docs(sf_dir: str) -> pd.DataFrame:
     alloc = alloc.rename(columns={"group": "source"})
     alloc["n_tokens"] = alloc["n_tokens"].astype(np.int64)
     for c in ("capacity", "alloc_tokens", "epochs"):
-        alloc[c] = _round6(alloc[c])
+        alloc[c] = round_half_away(alloc[c])
     return alloc.sort_values("source").reset_index(drop=True)
 
 
@@ -5516,7 +5448,7 @@ def minhash_eval_docs(sf_dir: str) -> pd.DataFrame:
     out = lsh_recall_eval(ds, "doc_id", "text", threshold=0.5,
                           hash_fn="md5")
     for c in ("precision", "recall"):
-        out[c] = _round6(out[c])
+        out[c] = round_half_away(out[c])
     return out
 
 
@@ -5537,7 +5469,6 @@ def curation_funnel_docs(sf_dir: str) -> pd.DataFrame:
 
     from ..dedup.decontaminate import _doc_gram_hashes, benchmark_gram_hashes
     from ..functions.broadcast import cached_get
-    from ..rules.heuristics import round6_away
 
     n0 = int(pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows)
     ds = _read(sf_dir, "documents", columns=["doc_id", "text", "lang"])
@@ -5569,8 +5500,8 @@ def curation_funnel_docs(sf_dir: str) -> pd.DataFrame:
         csum = np.concatenate(([0], np.cumsum(hit.astype(np.int64))))
         ends = np.cumsum(counts)
         # round BEFORE the threshold compare — decontaminate()'s exact
-        # contract (round6_away is DuckDB's half-away mode)
-        frac = round6_away((csum[ends] - csum[ends - counts])
+        # contract (round_half_away is DuckDB's half-away mode)
+        frac = round_half_away((csum[ends] - csum[ends - counts])
                            / np.maximum(counts, 1))
         d = pd.DataFrame({
             "doc_id": b["doc_id"].to_numpy(),
@@ -5582,13 +5513,7 @@ def curation_funnel_docs(sf_dir: str) -> pd.DataFrame:
         # global winner (its flags ride along — keep depends on lang
         # too, so the winner's OWN verdict is what the funnel counts)
         d = d.sort_values("doc_id", kind="mergesort")
-        d = d[~d["text"].duplicated()]
-        import pandas.util as pdu
-
-        d["__bucket"] = (pdu.hash_array(
-            d["text"].fillna("\x00NULL\x00").to_numpy(dtype=object))
-            % 64).astype(np.int64)
-        return d
+        return d[~d["text"].duplicated()]
 
     def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
@@ -5601,9 +5526,8 @@ def curation_funnel_docs(sf_dir: str) -> pd.DataFrame:
         })
 
     sums = {"n1": 0, "n2": 0, "n3": 0}
-    folded = (ds.map_batches(flags, batch_format="pyarrow")
-              .groupby("__bucket").map_groups(fold_bucket,
-                                              batch_format="pandas"))
+    folded = bucket_exchange(ds.map_batches(flags, batch_format="pyarrow"),
+                             "text", fold_bucket)
     for b in folded.iter_batches(batch_size=4096, batch_format="pandas"):
         for c in sums:
             sums[c] += int(b[c].sum())

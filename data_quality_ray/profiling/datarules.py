@@ -425,10 +425,10 @@ def ewma_anomalies(ds, ts_col: str, type_col: str, alpha: float = 0.3,
     quantized-state trick). Returns the ``top`` buckets by exceedance
     score (n − threshold), flagged column marks true breaches —
     non-empty output even on a calm stream."""
-    from ..rules.heuristics import round6_away
+    from ..rules.heuristics import round_half_away
     from .groupagg import grouped_aggregate
 
-    r6 = lambda v: float(round6_away(np.float64(v)))
+    r6 = lambda v: float(round_half_away(np.float64(v)))
     hours = ds.map_batches(
         lambda b: pd.DataFrame({
             "event_type": b[type_col],
@@ -797,7 +797,7 @@ def grouped_regression(ds, group_cols: list[str], x_col: str,
     → (*group_cols, n, slope, intercept, corr) with 6-dp rounding on
     the floats (the oracle contract); degenerate groups (zero x
     variance) yield NULL slope/intercept/corr like SQL."""
-    from ..rules.heuristics import round6_away
+    from ..rules.heuristics import round_half_away
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
         x = b[x_col].to_numpy(dtype=np.float64)
@@ -832,9 +832,9 @@ def grouped_regression(ds, group_cols: list[str], x_col: str,
                                                vx * vy, 1.0)), np.nan)
     out = agg[group_cols].copy()
     out["n"] = agg["n"].astype("int64")
-    out["slope"] = round6_away(slope)
-    out["intercept"] = round6_away(intercept)
-    out["corr"] = round6_away(corr)
+    out["slope"] = round_half_away(slope)
+    out["intercept"] = round_half_away(intercept)
+    out["corr"] = round_half_away(corr)
     return out.reset_index(drop=True)
 
 

@@ -38,9 +38,9 @@ def grouped_aggregate(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
       low-cardinality keys, where Ray's sort-based shuffle costs seconds
       of fixed latency to move kilobytes. Returns a pandas DataFrame.
     - "shuffle": hash-bucketed distributed merge — for key spaces too
-      large to merge on one node. The partials get a ``__bucket`` column
-      (hash of the key columns), ONE Ray groupby moves them to ~64
-      buckets, and each bucket runs a single vectorized pandas groupby.
+      large to merge on one node. ONE ``bucket_exchange`` moves the
+      partials to 64 hash buckets of the key columns, and each bucket
+      runs a single vectorized pandas groupby.
       Returns a Dataset. (A bare ``groupby(keys).aggregate(...)`` pays
       per-distinct-key Python accumulate inside Ray's aggregate — 43 s
       vs 1 s at 235k keys, measured — so high-cardinality finals go
@@ -74,16 +74,7 @@ def grouped_aggregate(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
                  else "shuffle")
 
     if final == "shuffle":
-        import numpy as np
-        import pandas.util as pdu
-
-        n_buckets = 64
-
-        def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["__bucket"] = (pdu.hash_pandas_object(b[keys], index=False)
-                             .to_numpy() % np.uint64(n_buckets)).astype("int64")
-            return b
+        from ..functions.exchange import bucket_exchange
 
         def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
             gb = g.groupby(keys, sort=False)
@@ -91,9 +82,7 @@ def grouped_aggregate(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
                                 for out_col, (_, fn) in aggs.items()})
             return out.reset_index()
 
-        return (partials.map_batches(add_bucket, batch_format="pandas")
-                .groupby("__bucket")
-                .map_groups(merge_bucket, batch_format="pandas"))
+        return bucket_exchange(partials, keys, merge_bucket)
 
     frames = list(partials.iter_batches(batch_size=65536, batch_format="pandas"))
     if not frames:
@@ -120,8 +109,7 @@ def grouped_topk(ds, keys, order_by, k: int, ascending=False,
     requirement the SQL oracle's ``row_number`` has). ``ascending`` may
     be a bool or a per-column list. Returns a Dataset.
     """
-    import numpy as np
-    import pandas.util as pdu
+    from ..functions.exchange import bucket_exchange
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     order = [order_by] if isinstance(order_by, str) else list(order_by)
@@ -131,23 +119,14 @@ def grouped_topk(ds, keys, order_by, k: int, ascending=False,
         s = b.sort_values(order, ascending=asc, kind="mergesort")
         return s.groupby(keys, sort=False).head(k)
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b[keys], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def merge_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        s = (g.drop(columns="__bucket")
-             .sort_values(order, ascending=asc, kind="mergesort"))
+        s = g.sort_values(order, ascending=asc, kind="mergesort")
         top = s.groupby(keys, sort=False).head(k).copy()
         top[rank_col] = (top.groupby(keys, sort=False).cumcount() + 1).astype("int64")
         return top
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket")
-            .map_groups(merge_bucket, batch_format="pandas"))
+    return bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                           keys, merge_bucket, n_buckets)
 
 
 def grouped_sketches(ds, key_col: str, make_acc, update):

@@ -48,14 +48,25 @@ def ttr_by_group(ds, group_col: str, text_col: str) -> pd.DataFrame:
         ds.select_columns([group_col, text_col]).map_batches(
             explode, batch_format="pandas"),
         ["grp", "token"], {"n": ("token", "count")}, final="auto")
-    if not isinstance(counts, pd.DataFrame):  # shuffle path at scale
-        counts = counts.to_pandas()
-    g = counts.groupby("grp", sort=False)
-    out = pd.DataFrame({
-        "n_tokens": g["n"].sum().astype(np.int64),
-        "n_distinct": g.size().astype(np.int64),
-        "n_hapax": g["n"].agg(lambda s: int((s == 1).sum())).astype(np.int64),
-    }).reset_index(names=group_col)
+    if isinstance(counts, pd.DataFrame):
+        g = counts.groupby("grp", sort=False)
+        out = pd.DataFrame({
+            "n_tokens": g["n"].sum().astype(np.int64),
+            "n_distinct": g.size().astype(np.int64),
+            "n_hapax": g["n"].agg(lambda s: int((s == 1).sum())).astype(np.int64),
+        }).reset_index(names=group_col)
+    else:  # shuffle path: second grouped fold, never the vocabulary on
+        # the driver
+        flagged = counts.map_batches(
+            lambda b: b.assign(hapax=(b["n"].to_numpy() == 1).astype(np.int64)),
+            batch_format="pandas")
+        out = grouped_aggregate(
+            flagged, ["grp"], {"n_tokens": ("n", "sum"),
+                               "n_distinct": ("n", "count"),
+                               "n_hapax": ("hapax", "sum")},
+            final="driver").rename(columns={"grp": group_col})
+        out = out.astype({c: np.int64 for c in
+                          ("n_tokens", "n_distinct", "n_hapax")})
     out["ttr"] = out["n_distinct"] / out["n_tokens"]
     out["hapax_ratio"] = out["n_hapax"] / out["n_distinct"]
     return out.sort_values(group_col).reset_index(drop=True)

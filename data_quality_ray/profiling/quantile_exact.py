@@ -162,24 +162,30 @@ def exact_quantiles(ds, col: str, qs, n_buckets: int = 4096,
 
 
 def grouped_disc_quantile(ds, group_col: str, val_col: str,
-                          q: float) -> pd.DataFrame:
+                          q) -> pd.DataFrame:
     """EXACT per-group ``quantile_disc`` from ONE (group, value)→count
     exchange: driver state is the distinct (group, value) table — right
     when values are quantized (scores, prices); for unbounded continuous
     value spaces per group, the t-digest grouped sketch is the scale
-    path. → (group, q_val), DuckDB-bit-identical positions."""
+    path. DuckDB-bit-identical positions.
+
+    ``q`` one quantile → (group, q_val); a sequence of quantiles →
+    (group, one column per quantile, named by the quantile itself), all
+    read off the same count table — one exchange for any number."""
     from ..functions.partitioning import _disc_quantile_val
     from .groupagg import grouped_aggregate
 
+    qs = [q] if np.isscalar(q) else list(dict.fromkeys(q))
     counts = grouped_aggregate(ds.select_columns([group_col, val_col]),
                                [group_col, val_col], {"n": ("", "count")})
     rows = []
     for g, sub in counts.groupby(group_col, sort=True):
         sub = sub.sort_values(val_col)
+        vals = sub[val_col].to_numpy()
         cum = sub["n"].to_numpy(np.int64).cumsum()
-        rows.append((g, _disc_quantile_val(sub[val_col].to_numpy(),
-                                           cum, q)))
-    return pd.DataFrame(rows, columns=[group_col, "q_val"])
+        rows.append((g, *(_disc_quantile_val(vals, cum, x) for x in qs)))
+    return pd.DataFrame(rows, columns=[group_col,
+                                       *(["q_val"] if np.isscalar(q) else qs)])
 
 
 def grouped_tdigest(ds, group_col: str, val_col: str,

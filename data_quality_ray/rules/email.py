@@ -174,22 +174,3 @@ class EmailVerify:
                     verdict[i] = CORRECTED
                     suggestion[i] = expect + "@" + domain
         return verdict, suggestion
-
-
-def verify_column(ds, column: str, config: EmailVerify | None = None,
-                  first_col: str | None = None, last_col: str | None = None):
-    """Dataset stage: appends ``email_verdict`` / ``email_suggestion``."""
-    import pyarrow as pa
-
-    cfg = config or EmailVerify()
-
-    def f(batch: pa.Table) -> pa.Table:
-        firsts = batch[first_col].to_numpy(zero_copy_only=False) if first_col else None
-        lasts = batch[last_col].to_numpy(zero_copy_only=False) if last_col else None
-        verdict, suggestion = cfg.verify(
-            batch[column].to_numpy(zero_copy_only=False), firsts, lasts
-        )
-        batch = batch.append_column("email_verdict", pa.array(verdict, type=pa.string()))
-        return batch.append_column("email_suggestion", pa.array(suggestion, type=pa.string()))
-
-    return ds.map_batches(f, batch_format="pyarrow")

@@ -170,12 +170,16 @@ def readability_stats(texts) -> dict[str, np.ndarray]:
     }
 
 
-def round6_away(x: np.ndarray) -> np.ndarray:
-    """Round half AWAY from zero at 6 dp (DuckDB's rounding mode) for
-    non-negative values. Python/numpy round are half-to-even, which
-    diverges from SQL on exact power-of-two rationals like 5/128 — and
-    these metrics have small-integer denominators, so ties really occur."""
-    return np.floor(x * 1e6 + 0.5) / 1e6
+def round_half_away(x, dp: int = 6) -> np.ndarray:
+    """Round half AWAY from zero at ``dp`` decimals — DuckDB's ``round``.
+    Python/numpy/pandas round are half-to-even (banker's): an exact half
+    like 89/128 = 0.6953125 rounds to …312 there but …313 in SQL. Any
+    rational with a power-of-two denominator can hit this, and metrics
+    built from small integer counts really do, so every ratio compared
+    against SQL goes through here. → float64 array (0-d for a scalar)."""
+    v = np.asarray(x, dtype=np.float64)
+    scale = 10.0 ** dp
+    return np.sign(v) * np.floor(np.abs(v) * scale + 0.5) / scale
 
 
 def gopher_repetition_stats(values) -> dict[str, np.ndarray]:
@@ -212,9 +216,9 @@ def gopher_repetition_stats(values) -> dict[str, np.ndarray]:
             cmax = max(g.values())
             gram = min(k for k, c in g.items() if c == cmax)
             tg[i] = cmax * len(gram) / len(s)
-    return {"dup_line_frac": round6_away(dl),
-            "dup_line_char_frac": round6_away(dlc),
-            "top_2gram_char_frac": round6_away(tg)}
+    return {"dup_line_frac": round_half_away(dl),
+            "dup_line_char_frac": round_half_away(dlc),
+            "top_2gram_char_frac": round_half_away(tg)}
 
 
 # --- C4-style line-level cleaning (Raffel et al. 2020 §2.2 heuristics) ------

@@ -86,10 +86,6 @@ def email_is_valid(v: str | None, tlds: frozenset = DEFAULT_TLDS) -> bool:
     return v.rsplit(".", 1)[-1].lower() in tlds
 
 
-def email_valid_mask(values, tlds: frozenset = DEFAULT_TLDS) -> np.ndarray:
-    return np.array([email_is_valid(v, tlds) for v in np.asarray(values, dtype=object)], dtype=bool)
-
-
 _PHONE_STRIP_RE = re.compile(r"[ .\-()]")
 
 

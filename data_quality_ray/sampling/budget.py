@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from .reservoir import _md5_hex, _row_key
 
 
@@ -72,20 +73,11 @@ def budget_cap(ds, key_cols: list[str], group_col: str, weight_col: str,
         return (_cap_group_sorted(allp, group_col, weight_col, budget)
                 .drop(columns="__rk").reset_index(drop=True))
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[group_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         return (_cap_group_sorted(g, group_col, weight_col, budget)
-                .drop(columns=["__rk", "__bucket"]))
+                .drop(columns="__rk"))
 
-    return (partials.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(finish, batch_format="pandas"))
+    return bucket_exchange(partials, group_col, finish, n_buckets)
 
 
 def apportion(counts: pd.DataFrame, group_col: str, weights: dict,
@@ -153,22 +145,12 @@ def apportioned_sample(ds, key_cols: list[str], group_col: str,
 
     pruned = ds.map_batches(partial, batch_format="pandas")
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b[group_col], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         gs, allocs = cached_get(ref)
-        g = g.drop(columns="__bucket").sort_values("__rk",
-                                                   kind="mergesort")
+        g = g.sort_values("__rk", kind="mergesort")
         pos = np.searchsorted(gs, g[group_col].to_numpy(object))
         k = allocs[np.clip(pos, 0, len(gs) - 1)]
         rank = g.groupby(group_col, sort=False).cumcount().to_numpy()
         return g[rank < k].drop(columns="__rk")
 
-    return (pruned.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(finish, batch_format="pandas"))
+    return bucket_exchange(pruned, group_col, finish, n_buckets)

@@ -14,7 +14,6 @@ SOUNDEX_REPLACE (replace a char with a same-soundex-class one), DATE_JITTER.
 from __future__ import annotations
 
 import random
-from datetime import timedelta
 
 _KEYBOARD_NEIGHBORS = {
     "a": "qsz", "b": "vgn", "c": "xdv", "d": "sfe", "e": "wrd", "f": "dgr",
@@ -66,11 +65,6 @@ def modify_field(value: str | None, modifier: str, rng: random.Random):
     if modifier == "SOUNDEX_REPLACE":
         return value[:i] + _soundex_sibling(value[i], rng) + value[i + 1:]
     raise KeyError(modifier)
-
-
-def jitter_date(value, rng: random.Random, max_days: int = 30):
-    """DateChanger analog: shift a date/datetime by ±max_days."""
-    return value + timedelta(days=rng.randint(-max_days, max_days))
 
 
 def generate_duplicates(records: list[dict], n_dups_per_record, columns: list[str],

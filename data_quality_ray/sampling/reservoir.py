@@ -30,6 +30,8 @@ from functools import lru_cache
 
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
+
 KEY_SEP = "\x1f"  # oracle SQL replays chr(31)
 
 
@@ -113,22 +115,12 @@ def grouped_reservoir_sample(ds, key_cols: list[str], group_col: str, k: int,
                .drop(columns="__rk"))
         return out.reset_index(drop=True)
 
-    import numpy as np
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_pandas_object(b[group_col], index=False)
-                         .to_numpy() % np.uint64(n_buckets)).astype("int64")
-        return b
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         return (g.sort_values("__rk", kind="mergesort")
                 .groupby(group_col, sort=False).head(k)
-                .drop(columns=["__rk", "__bucket"]))
+                .drop(columns="__rk"))
 
-    return (partials.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(finish, batch_format="pandas"))
+    return bucket_exchange(partials, group_col, finish, n_buckets)
 
 
 def grouped_weighted_sample(ds, key_cols: list[str], group_col: str,
@@ -178,21 +170,11 @@ def grouped_weighted_sample(ds, key_cols: list[str], group_col: str,
                .drop(columns="__score"))
         return out.reset_index(drop=True)
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[group_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(order, ascending=asc, kind="mergesort")
-        return (g.groupby(group_col, sort=False).head(k)
-                .drop(columns=["__score", "__bucket"]))
+        return g.groupby(group_col, sort=False).head(k).drop(columns="__score")
 
-    return (partials.map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(finish, batch_format="pandas"))
+    return bucket_exchange(partials, group_col, finish, n_buckets)
 
 
 def weighted_reservoir_sample(ds, key_cols: list[str], weight_col: str,

@@ -133,7 +133,7 @@ def unimax_allocation(token_counts: dict, budget_fraction: float,
 
     → (group, n_tokens, capacity, alloc_tokens, epochs) ascending by
     group; values are raw floats — the query-level rounding contract
-    (``queries._round6``) lives at the caller.
+    (``heuristics.round_half_away``) lives at the caller.
     """
     if budget_fraction < 0 or epoch_cap <= 0:
         raise ValueError("budget_fraction must be >= 0, epoch_cap > 0")

@@ -29,6 +29,7 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..functions.exchange import bucket_exchange
 from .bm25 import bm25_tokens
 
 VOCAB_COLLECT_MAX = 2_000_000
@@ -126,17 +127,8 @@ def tfidf_topk(ds, id_col: str, text_col: str, k: int = 5,
                               * np.log(n_docs / b["df"].to_numpy()), round_to)
         return b[[id_col, "term", "score"]]
 
-    import pandas.util as pdu
-
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__bucket"] = (pdu.hash_array(b[id_col].to_numpy())
-                         % n_buckets).astype("int64")
-        return b
-
     def topk_bucket(g: pd.DataFrame) -> pd.DataFrame:
         return _topk_frame(g, id_col, k)
 
-    return (joined.map_batches(score, batch_format="pandas")
-            .map_batches(add_bucket, batch_format="pandas")
-            .groupby("__bucket").map_groups(topk_bucket, batch_format="pandas"))
+    return bucket_exchange(joined.map_batches(score, batch_format="pandas"),
+                           id_col, topk_bucket, n_buckets)

@@ -178,14 +178,6 @@ def generate_f1_shard(start_row: int, n_rows: int, seed: int = 42,
     )
 
 
-def generate_f1(n_rows: int, seed: int = 42, dup_fraction: float = 0.15,
-                sizes: tuple[int, ...] = (32, 48), shard_rows: int = 8192) -> pa.Table:
-    """Whole table in memory (small fixtures): concatenated shards."""
-    parts = [generate_f1_shard(s, min(shard_rows, n_rows - s), seed, dup_fraction, sizes)
-             for s in range(0, n_rows, shard_rows)]
-    return pa.concat_tables(parts)
-
-
 def label_table(tbl: pa.Table, feature_labels: bool = False) -> pa.Table:
     """Construction-time oracle labels for an F1 shard: the row-by-row
     rule-chain oracle (rules/oracle.py) plus, when ``feature_labels``,

@@ -6,7 +6,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-from data_quality_ray.rules.heuristics import gopher_repetition_stats, round6_away
+from data_quality_ray.rules.heuristics import gopher_repetition_stats, round_half_away as round6_away
 
 
 def test_round6_away_matches_duckdb_on_ties():

@@ -153,3 +153,19 @@ def test_hits_all_zero_weights_raise(ray_session):
     e = pd.DataFrame({"src": [1, 2, 2], "dst": [9, 9, 8], "w": [0, 0, 0]})
     with pytest.raises(ValueError, match="score is 0"):
         hits(_ds(e, 1), rounds=2)
+
+
+def test_round_half_away_matches_sql_round():
+    """The one half-away helper pagerank/hits quantize with: exact halves
+    go away from zero at any ``dp`` (banker's np.round goes to even)."""
+    from data_quality_ray.rules.heuristics import round_half_away
+
+    assert round_half_away(89 / 128) == 0.695313           # np.round: …312
+    assert np.round(89 / 128, 6) == 0.695312
+    half = 2.0 ** -10                                       # 976562.5e-9
+    assert round_half_away(half, 9) == 0.000976563
+    assert round_half_away(-half, 9) == -0.000976563
+    assert np.round(half, 9) == 0.000976562
+    np.testing.assert_array_equal(
+        round_half_away(np.array([0.0, 1.25e-7, -1.25e-7, 2.5]), 6),
+        [0.0, 0.0, -0.0, 2.5])

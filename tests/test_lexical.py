@@ -38,6 +38,25 @@ def test_ttr_empty_and_null_text(ray_session):
     assert out["g"].tolist() == ["a"]
 
 
+def test_ttr_shuffle_path_equals_driver_path(ray_session, monkeypatch):
+    """Forced shuffle (the gate at 0): the per-group totals come from a
+    second distributed fold, not a driver collect of the vocabulary, and
+    equal the driver merge exactly."""
+    from data_quality_ray.profiling import groupagg
+
+    rng = np.random.default_rng(3)
+    words = np.array(["w%d" % i for i in range(40)], dtype=object)
+    df = pd.DataFrame({
+        "g": rng.choice(["a", "b", "c", None], 200),
+        "t": [" ".join(rng.choice(words, rng.integers(0, 9))) for _ in range(200)],
+    })
+    driver = ttr_by_group(_ds(df, 4), "g", "t")
+    monkeypatch.setattr(groupagg, "AUTO_COLLECT_MAX_PARTIAL_ROWS", 0)
+    shuffled = ttr_by_group(_ds(df, 4), "g", "t")
+    assert len(driver) == 3
+    pd.testing.assert_frame_equal(shuffled, driver)
+
+
 def test_ngram_novelty_first_seen(ray_session):
     df = pd.DataFrame({
         "id": np.array([1, 2, 3], dtype=np.int64),

@@ -68,3 +68,25 @@ def test_mad_outliers_vs_numpy(ray_session):
     assert r["n_low"] == int((v < lo).sum())
     assert r["n_high"] == int((v > hi).sum())
     assert r["n_high"] >= 2 and r["n_low"] >= 1
+
+
+def test_grouped_disc_quantile_several_qs_match_single_calls(ray_session):
+    """Several quantiles off one count table == one call per quantile,
+    and each equals DuckDB's quantile_disc position max(1, ceil(q·n))."""
+    from data_quality_ray.profiling.quantile_exact import grouped_disc_quantile
+
+    rng = np.random.default_rng(7)
+    df = pd.DataFrame({"g": rng.choice(["a", "b", "c"], 700),
+                       "v": rng.integers(0, 50, 700).astype(np.float64)})
+    df.loc[::17, "v"] = np.nan
+    qs = [0.5, 0.48, 0.52, 0.95, 0.95 - 0.02, 0.97]
+    many = grouped_disc_quantile(_ds(df), "g", "v", qs)
+    assert list(many.columns) == ["g", *qs]
+    for q in qs:
+        one = grouped_disc_quantile(_ds(df), "g", "v", q)
+        assert list(one.columns) == ["g", "q_val"]
+        assert one["g"].tolist() == many["g"].tolist() == ["a", "b", "c"]
+        assert one["q_val"].tolist() == many[q].tolist()
+        for g, got in zip(one["g"], one["q_val"]):
+            v = np.sort(df.loc[(df["g"] == g) & df["v"].notna(), "v"].to_numpy())
+            assert got == v[max(1, int(np.ceil(q * len(v)))) - 1]

@@ -7,8 +7,11 @@ Usage: python tools/check_oracle.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -55,7 +58,11 @@ def main() -> int:
 
     import __ray_entry__ as E
 
-    con = duckdb.connect()
+    # DuckDB spills to ``.tmp/`` in the working directory by default —
+    # keep it in a private temp dir that is removed at exit
+    spill = tempfile.mkdtemp(prefix="check_oracle_duckdb_")
+    atexit.register(shutil.rmtree, spill, ignore_errors=True)
+    con = duckdb.connect(config={"temp_directory": spill})
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
 
