@@ -25,27 +25,7 @@ from data_quality_ray.rules.scrub import (
 
 def entry() -> Any:
     """Flagship: quality-filter chain over sf0.001 documents."""
-    import ray.data as rd
-
-    ds = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
-                         columns=["doc_id", "text", "lang"])
-    import pyarrow as pa
-
-    from data_quality_ray.pipelines.quality_filter import build_docs_chain, cached_chain
-
-    def apply_chain(batch: pa.Table) -> pa.Table:
-        res = cached_chain(build_docs_chain).apply(
-            batch["text"].to_numpy(zero_copy_only=False),
-            aux={"lang": batch["lang"].to_numpy(zero_copy_only=False)},
-        )
-        return pa.table({
-            "doc_id": batch["doc_id"],
-            "keep": pa.array(res.verdict != "DROP"),
-            "first_rule": pa.array(res.first_rule, type=pa.string()),
-            "scrubbed_text": pa.array(res.values, type=pa.string()),
-        })
-
-    return ds.map_batches(apply_chain, batch_format="pyarrow")
+    return Q._quality_filter_docs_ds("/root/testdata/sf0.001")
 
 
 def _image_fixture(sf_dir: str) -> str:
@@ -234,9 +214,7 @@ def cluster_safe_split_images(sf_dir: str):
     import ray
     import ray.data as rd
 
-    from data_quality_ray.dedup.minhash import (UNION_FIND_MAX_PAIRS,
-                                                distributed_components,
-                                                union_find_components)
+    from data_quality_ray.dedup.minhash import components
     from data_quality_ray.dedup.simhash import hamming_candidates
     from data_quality_ray.functions.broadcast import cached_get
     from data_quality_ray.sampling.splits import assign_split
@@ -248,10 +226,7 @@ def cluster_safe_split_images(sf_dir: str):
         comp = pd.DataFrame({"id": pd.Series(dtype="int64"),
                              "cluster": pd.Series(dtype="int64")})
     else:
-        edges = pairs[["id_a", "id_b"]]
-        comp = (union_find_components(edges)
-                if len(edges) <= UNION_FIND_MAX_PAIRS
-                else distributed_components(edges))
+        comp = components(pairs[["id_a", "id_b"]], "cluster_safe_split_images")
     # broadcast the (clustered ids only) label map; one streaming pass
     # assigns label = map.get(id, id) + the hash split of the label
     comp = comp.sort_values("id")

@@ -4,7 +4,8 @@ Headline: the north-star image+caption quality-filter pipeline
 (read parquet → actor-pool rule chain (langid + perplexity + heuristics +
 PII scrub) → phash-keyed dedup → partitioned parquet write + lineage
 manifest) over a deterministic synthetic F1 table sized to the sf tier.
-Also times the key sf-table pipelines.
+Also times every query in ``__ray_entry__.queries()`` over the sf tables
+(``GRAFT_BENCH_SKIP_QUERIES=1`` skips them).
 
 Prints ONE JSON line:
   {"metric": ..., "value": <headline seconds>, "unit": "sec",
@@ -49,7 +50,6 @@ def run_bench() -> dict:
     DataContext.get_current().enable_progress_bars = False
 
     from data_quality_ray.pipelines.north import run_quality_pipeline
-    from data_quality_ray.pipelines import queries as Q
     from data_quality_ray.sources.fixtures import write_f1
 
     n_images = image_rows_for(SF_DIR)
@@ -104,156 +104,17 @@ def run_bench() -> dict:
         runs.append(round(time.perf_counter() - t0, 3))
     headline = min(runs)
 
+    # every registered query, timed in registry order
     queries = {}
-    query_list = [] if os.environ.get("GRAFT_BENCH_SKIP_QUERIES") else [
-        ("quality_filter_docs", Q.quality_filter_docs),
-        ("pricing_summary", Q.pricing_summary),
-        ("dedup_exact_docs", Q.dedup_exact_docs),
-        ("reservoir_sample_lineitem", Q.reservoir_sample_lineitem),
-        ("knn_embeddings", Q.knn_embeddings),
-        ("ivf_store_knn_embeddings", Q.ivf_store_knn_embeddings),
-        ("minhash_neardup_docs", Q.minhash_neardup_docs),
-        ("cross_run_neardup_docs", Q.cross_run_neardup_docs),
-        ("golden_record_orders", Q.golden_record_orders),
-        ("text_length_by_lang", Q.text_length_by_lang),
-        ("events_hourly_window", Q.events_hourly_window),
-        ("embedding_neardup_pairs", Q.embedding_neardup_pairs),
-        ("matching_pairs_supplier", Q.matching_pairs_supplier),
-        ("quality_filter_docs_scrub", Q.scrub_pii_docs),
-        ("simhash_docs", Q.simhash_docs),
-        ("phonetic_keys_part", Q.phonetic_keys_part),
-        ("chronology_convert_orders", Q.chronology_convert_orders),
-        ("survivorship_extended_orders", Q.survivorship_extended_orders),
-        ("asof_last_order_events", Q.asof_last_order_events),
-        ("range_join_orders_bands", Q.range_join_orders_bands),
-        ("heavy_hitter_tokens_docs", Q.heavy_hitter_tokens_docs),
-        ("ngram_jaccard_dedup_docs", Q.ngram_jaccard_dedup_docs),
-        ("winnow_fingerprints_docs", Q.winnow_fingerprints_docs),
-        ("c4_clean_docs", Q.c4_clean_docs),
-        ("quality_classifier_docs", Q.quality_classifier_docs),
-        ("decontaminate_docs", Q.decontaminate_docs),
-        ("pack_sequences_docs", Q.pack_sequences_docs),
-        ("revenue_by_nation", Q.revenue_by_nation),
-        ("bm25_search_docs", Q.bm25_search_docs),
-        ("tfidf_keywords_docs", Q.tfidf_keywords_docs),
-        ("paragraph_dedup_docs", Q.paragraph_dedup_docs),
-        ("substring_dedup_docs", Q.substring_dedup_docs),
-        ("kmeans_embeddings", Q.kmeans_embeddings),
-        ("temperature_mix_docs", Q.temperature_mix_docs),
-        ("rollup_revenue", Q.rollup_revenue),
-        ("outer_join_customer_events", Q.outer_join_customer_events),
-        ("correlation_lineitem", Q.correlation_lineitem),
-        ("uniqueness_profile_customer", Q.uniqueness_profile_customer),
-        ("snapshot_diff_orders", Q.snapshot_diff_orders),
-        ("fuzzy_join_customers", Q.fuzzy_join_customers),
-        ("cube_orders", Q.cube_orders),
-        ("top_tokens_per_lang", Q.top_tokens_per_lang),
-        ("curriculum_order_docs", Q.curriculum_order_docs),
-        ("pq_topk_embeddings", Q.pq_topk_embeddings),
-        ("ivfpq_store_embeddings", Q.ivfpq_store_embeddings),
-        ("cross_run_profile_orders", Q.cross_run_profile_orders),
-        ("ivfpq_residual_embeddings", Q.ivfpq_residual_embeddings),
-        ("text_pipeline_docs", Q.text_pipeline_docs),
-        ("cross_run_drift_orders", Q.cross_run_drift_orders),
-        ("window_rank_orders", Q.window_rank_orders),
-        ("moving_avg_events", Q.moving_avg_events),
-        ("window_value_orders", Q.window_value_orders),
-        ("skew_report_events", Q.skew_report_events),
-        ("grouped_sample_docs", Q.grouped_sample_docs),
-        ("tpch_q3_shipping", Q.tpch_q3_shipping),
-        ("containment_dedup_docs", Q.containment_dedup_docs),
-        ("funnel_conversion_events", Q.funnel_conversion_events),
-        ("budget_cap_docs", Q.budget_cap_docs),
-        ("decontaminate_bloom_docs", Q.decontaminate_bloom_docs),
-        ("retention_cohorts_events", Q.retention_cohorts_events),
-        ("tumbling_daily_events", Q.tumbling_daily_events),
-        ("bpe_tokens_docs", Q.bpe_tokens_docs),
-        ("grouped_weighted_sample_orders", Q.grouped_weighted_sample_orders),
-        ("json_extract_events", Q.json_extract_events),
-        ("kcenter_coreset_embeddings", Q.kcenter_coreset_embeddings),
-        ("range_partition_orders", Q.range_partition_orders),
-        ("homoglyph_dedup_docs", Q.homoglyph_dedup_docs),
-        ("fuzzy_decontaminate_docs", Q.fuzzy_decontaminate_docs),
-        ("campaign_overlap_events", Q.campaign_overlap_events),
-        ("cluster_safe_split_docs", Q.cluster_safe_split_docs),
-        ("supplier_pagerank", Q.supplier_pagerank),
-        ("fs_linkage_customers", Q.fs_linkage_customers),
-        ("global_rank_orders", Q.global_rank_orders),
-        ("fs_entity_resolution_customers", Q.fs_entity_resolution_customers),
-        ("embedding_covariance", Q.embedding_covariance),
-        ("neardup_cluster_stats_docs", Q.neardup_cluster_stats_docs),
-        ("dbscan_embeddings", Q.dbscan_embeddings),
-        ("triangle_coeff_part", Q.triangle_coeff_part),
-        ("sliding_chunks_docs", Q.sliding_chunks_docs),
-        ("chunk_dedup_docs", Q.chunk_dedup_docs),
-        ("mmr_select_embeddings", Q.mmr_select_embeddings),
-        ("link_prediction_part", Q.link_prediction_part),
-        ("zorder_layout_lineitem", Q.zorder_layout_lineitem),
-        ("bootstrap_ci_lineitem", Q.bootstrap_ci_lineitem),
-        ("shard_rebalance_orders", Q.shard_rebalance_orders),
-        ("url_dedup_docs", Q.url_dedup_docs),
-        ("domain_quality_report_docs", Q.domain_quality_report_docs),
-        ("seeded_shuffle_docs", Q.seeded_shuffle_docs),
-        ("scd2_orders", Q.scd2_orders),
-        ("spearman_lineitem", Q.spearman_lineitem),
-        ("ewma_anomalies_events", Q.ewma_anomalies_events),
-        ("contract_check_customer", Q.contract_check_customer),
-        ("kcore_parts", Q.kcore_parts),
-        ("logreg_lineitem", Q.logreg_lineitem),
-        ("best_of_cluster_docs", Q.best_of_cluster_docs),
-        ("calibration_docs", Q.calibration_docs),
-        ("strip_html_docs", Q.strip_html_docs),
-        ("readability_docs", Q.readability_docs),
-        ("source_divergence_docs", Q.source_divergence_docs),
-        ("epoch_plan_docs", Q.epoch_plan_docs),
-        # round-5 surface: evaluation stats, SNM dedup, lexical metrics,
-        # stream analytics
-        ("auc_docs", Q.auc_docs),
-        ("snm_pairs_customers", Q.snm_pairs_customers),
-        ("snm_multipass_customers", Q.snm_multipass_customers),
-        ("ngram_novelty_docs", Q.ngram_novelty_docs),
-        ("source_overlap_docs", Q.source_overlap_docs),
-        ("sliding_distinct_users_events", Q.sliding_distinct_users_events),
-        ("late_events_events", Q.late_events_events),
-        ("rule_ablation_docs", Q.rule_ablation_docs),
-        ("ttr_sources_docs", Q.ttr_sources_docs),
-        ("char_entropy_docs", Q.char_entropy_docs),
-        ("auc_by_source_docs", Q.auc_by_source_docs),
-        ("decayed_engagement_users_events",
-         Q.decayed_engagement_users_events),
-        ("hits_supplier_part", Q.hits_supplier_part),
-        ("ind_discovery", Q.ind_discovery),
-        ("cfd_check_orders", Q.cfd_check_orders),
-        ("unimax_mix_docs", Q.unimax_mix_docs),
-        ("uncertainty_sample_docs", Q.uncertainty_sample_docs),
-        ("minhash_eval_docs", Q.minhash_eval_docs),
-        ("curation_funnel_docs", Q.curation_funnel_docs),
-    ]
-    if query_list and not os.environ.get("GRAFT_BENCH_SKIP_IMAGE_QUERIES"):
+    if not os.environ.get("GRAFT_BENCH_SKIP_QUERIES"):
         import __ray_entry__ as E
 
-        query_list += [
-            ("image_embed_neardup", E.image_embed_neardup),
-            ("dup_caption_images", E.dup_caption_images),
-            ("cross_run_phash_images", E.cross_run_phash_images),
-            ("ar_bucket_batches_images", E.ar_bucket_batches_images),
-            ("caption_alignment_images", E.caption_alignment_images),
-            ("webdataset_roundtrip_images", E.webdataset_roundtrip_images),
-            ("phash_topk_images", E.phash_topk_images),
-            ("multimodal_dedup_images", E.multimodal_dedup_images),
-            ("hamming_store_images", E.hamming_store_images),
-            ("audio_quality_clips", E.audio_quality_clips),
-            ("video_frame_dedup", E.video_frame_dedup),
-            ("audio_fingerprint_dedup", E.audio_fingerprint_dedup),
-            ("caption_search_images", E.caption_search_images),
-            ("hard_negatives_images", E.hard_negatives_images),
-            ("cluster_safe_split_images", E.cluster_safe_split_images),
-            ("retrieval_eval_images", E.retrieval_eval_images),
-        ]
-    for name, fn in query_list:
-        t = time.perf_counter()
-        fn(SF_DIR)
-        queries[name] = round(time.perf_counter() - t, 3)
+        for name, fn in E.queries().items():
+            t = time.perf_counter()
+            out = fn(SF_DIR)
+            if isinstance(out, rd.Dataset):
+                out.materialize()  # a lazy result runs inside the timed region
+            queries[name] = round(time.perf_counter() - t, 3)
 
     ray.shutdown()
     # keep the cached fixture; drop this run's output (tmpfs outputs left

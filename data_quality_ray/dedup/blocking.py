@@ -23,6 +23,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from ..functions.matchers import match_score, soundex
 from ..functions.phonetics import cologne_phonetic, double_metaphone, metaphone, soundex_fr
 from ..functions.text import fingerprint_key_one
@@ -105,11 +106,6 @@ def add_block_key(ds, defs: list[dict], out_col: str = "block_key"):
     return ds.map_batches(f, batch_format="pandas")
 
 
-# keyed tables below this row count cluster on the driver (mirrors the
-# in-memory reference exactly); larger ones take the shuffle path
-CLUSTER_COLLECT_MAX_ROWS = 2_000_000
-
-
 def cluster_strings(ds, col: str, block_size_threshold: int = 1000,
                     strategy: str = "auto", n_buckets: int = 32) -> pd.DataFrame:
     """End-to-end string clustering (StringsClusterAnalyzer.java:45-120):
@@ -128,11 +124,12 @@ def cluster_strings(ds, col: str, block_size_threshold: int = 1000,
       order) merged in a hash-bucketed pandas groupby — the
       dedup/survivorship.py shape; the driver only sees the distinct-value
       result. Same tie-break, parity-tested against "collect".
-    - "auto": collect under ``CLUSTER_COLLECT_MAX_ROWS`` input rows.
+    - "auto": collect when the input rows fit the ``collect_rows`` gate.
     """
     if strategy == "auto":
         ds = ds.materialize()
-        strategy = "collect" if ds.count() <= CLUSTER_COLLECT_MAX_ROWS else "shuffle"
+        strategy = ("collect" if fits("blocking.cluster_strings", ds.count(),
+                                      "collect_rows") else "shuffle")
 
     if strategy == "collect":
         def add_key(batch: pd.DataFrame) -> pd.DataFrame:

@@ -181,7 +181,7 @@ def _dominated(pairs: pd.DataFrame) -> pd.DataFrame:
 def containment_dedup(ds, id_col: str, text_col: str, threshold: float = 0.8,
                       shingle_size: int = 3, hash_fn: str = "stable",
                       ordering: str = "cms", n_buckets: int = 64,
-                      verify_strategy: str = "auto", output: str = "pandas"):
+                      output: str = "pandas"):
     """Full containment-dedup pass → (id, n_shingles, keep,
     contained_in) for EVERY input row; ``contained_in`` = the smallest
     dominating doc id, or -1 when kept. ``output="dataset"`` keeps
@@ -203,7 +203,6 @@ def containment_dedup(ds, id_col: str, text_col: str, threshold: float = 0.8,
             postings, id_col, n_buckets, as_dataset=True).materialize()
         verified = verify_pairs(ds, pairs_ds, id_col, text_col, threshold,
                                 shingle_size, hash_fn,
-                                strategy=verify_strategy,
                                 metric="containment").materialize()
         # size lookup for the verified ids only (bounded by the
         # candidate doc count — the verify-broadcast bound)
@@ -276,8 +275,7 @@ def containment_dedup(ds, id_col: str, text_col: str, threshold: float = 0.8,
         out["contained_in"] = np.int64(-1)
         return out.sort_values(id_col, kind="mergesort").reset_index(drop=True)
     verified = verify_pairs(ds, pairs, id_col, text_col, threshold,
-                            shingle_size, hash_fn, strategy=verify_strategy,
-                            metric="containment")
+                            shingle_size, hash_fn, metric="containment")
     szmap = sizes_pd.set_index(id_col)["n_shingles"]
     verified = verified.assign(n_a=szmap.reindex(verified["id_a"]).to_numpy(),
                                n_b=szmap.reindex(verified["id_b"]).to_numpy())

@@ -25,6 +25,7 @@ import pyarrow as pa
 
 from ..dedup.minhash import shingle_strings
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from ..profiling.sketches import HASH64
 from ..rules.heuristics import round_half_away
 
@@ -296,13 +297,6 @@ def decontaminate_bloom(ds, text_col: str, id_col: str, bench_gram_ds,
     return bucket_exchange(verified, id_col, finish, n_buckets)
 
 
-# matched-corpus maps at or below this size broadcast as sorted arrays;
-# above it the flag assignment rides a hash_join exchange (the
-# dedup/multimodal label-assignment gate, same reasoning: the map is
-# bounded by CONTAMINATED docs, which at web scale can exceed a broadcast)
-FUZZY_BROADCAST_MAX_ROWS = 5_000_000
-
-
 def fuzzy_decontaminate(corpus_ds, bench_ds, id_col: str, text_col: str,
                         threshold: float = 0.5, n_perm: int = 64,
                         bands: int = 16, shingle_size: int = 3,
@@ -320,7 +314,7 @@ def fuzzy_decontaminate(corpus_ds, bench_ds, id_col: str, text_col: str,
     pair-dedup shuffle, verification through the shared gated
     ``verify_pairs`` (collect/broadcast/shuffle), then the matched map
     (corpus id → min matching bench id, bounded by contaminated docs)
-    broadcasts under ``FUZZY_BROADCAST_MAX_ROWS`` and rides a
+    broadcasts within the ``label_map_rows`` gate and rides a
     ``hash_join`` exchange above. → Dataset of (id, contaminated,
     match_id[None when clean]) over all corpus rows."""
     import ray
@@ -371,7 +365,8 @@ def fuzzy_decontaminate(corpus_ds, bench_ds, id_col: str, text_col: str,
     matched = grouped_aggregate(verified, ["id_a"],
                                 {"match_id": ("id_b", "min")}, final="auto")
     if not isinstance(matched, pd.DataFrame):
-        if matched.count() > FUZZY_BROADCAST_MAX_ROWS:
+        if not fits("decontaminate.fuzzy_decontaminate", matched.count(),
+                    "label_map_rows"):
             from ..functions.joins import hash_join
 
             joined = hash_join(

@@ -13,10 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-# pair sets below this row count collect to the driver for the final
-# cross-block dedup; larger ones (or output="dataset") ride the bucketed
-# distributed pair-dedup shuffle (dedup.minhash.dedup_pairs_dataset)
-NEARDUP_COLLECT_MAX_PAIRS = 2_000_000
+from ..functions.gate import fits
 
 
 def _empty_pairs() -> pd.DataFrame:
@@ -75,7 +72,7 @@ def neardup_pairs_blocked(ds, id_col: str, vec_col: str, key_col: str,
     perceptual hash).
 
     Cross-block de-dup is GATED on the measured pair count: below
-    ``NEARDUP_COLLECT_MAX_PAIRS`` the pair list collects and de-dups on
+    the ``collect_rows`` gate the pair list collects and de-dups on
     the driver; above it (or with ``output="dataset"``) the union rides
     one more (id_a, id_b)-keyed bucketed shuffle
     (``dedup.minhash.dedup_pairs_dataset``) and never lands on the
@@ -106,7 +103,8 @@ def neardup_pairs_blocked(ds, id_col: str, vec_col: str, key_col: str,
     if output == "dataset":
         return dedup_pairs_dataset(pair_ds, keep_cols=("id_a", "id_b", "cos"))
     pair_ds = pair_ds.materialize()
-    if pair_ds.count() > NEARDUP_COLLECT_MAX_PAIRS:
+    if not fits("embedding.neardup_pairs_blocked", pair_ds.count(),
+                "collect_rows"):
         out = dedup_pairs_dataset(pair_ds,
                                   keep_cols=("id_a", "id_b", "cos")).to_pandas()
     else:

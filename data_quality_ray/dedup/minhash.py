@@ -39,6 +39,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from ..profiling.sketches import HASH64
 
 _P = np.uint64((1 << 61) - 1)  # Mersenne prime 2^61-1
@@ -164,11 +165,6 @@ def minhash_bands(ds, id_col: str, text_col: str, n_perm: int = 64, bands: int =
     return ds.map_batches(sign, batch_format="pandas", batch_size=1024)
 
 
-# band tables below this row count are collected to the driver (3 small
-# columns per row); larger ones pair up via the shuffle path
-COLLECT_MAX_BAND_ROWS = 2_000_000
-
-
 def candidate_pairs(band_ds, id_col: str, strategy: str = "auto",
                     as_dataset: bool = False):
     """Stage 3: docs sharing a (band_id, band_hash) bucket → unique pairs.
@@ -189,7 +185,8 @@ def candidate_pairs(band_ds, id_col: str, strategy: str = "auto",
     """
     if strategy == "auto":
         band_ds = band_ds.materialize()
-        strategy = "collect" if band_ds.count() <= COLLECT_MAX_BAND_ROWS else "shuffle"
+        strategy = ("collect" if fits("minhash.candidate_pairs", band_ds.count(),
+                                      "collect_rows") else "shuffle")
 
     if as_dataset and strategy != "shuffle":
         raise ValueError("as_dataset=True requires strategy='shuffle'")
@@ -366,6 +363,15 @@ def distributed_components(pairs_ds, n_buckets: int = 64, max_iter: int = 64,
                         ).sort_values(id_name).reset_index(drop=True)
 
 
+def components(edges: pd.DataFrame, site: str) -> pd.DataFrame:
+    """(id, cluster) over a driver-side (id_a, id_b) edge frame: driver
+    union-find when the edges fit the ``label_map_rows`` gate, else
+    distributed min-label propagation."""
+    if fits(site, len(edges), "label_map_rows"):
+        return union_find_components(edges)
+    return distributed_components(edges)
+
+
 def isin_sorted(cand: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Membership of ``v`` in the SORTED array ``cand`` via searchsorted
     (the broadcast-prefilter kernel); all-False for an empty ``cand`` —
@@ -374,17 +380,6 @@ def isin_sorted(cand: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.zeros(len(v), dtype=bool)
     pos = np.searchsorted(cand, v)
     return (pos < len(cand)) & (cand[np.clip(pos, 0, len(cand) - 1)] == v)
-
-
-# verified-pair sets larger than this go through distributed_components
-UNION_FIND_MAX_PAIRS = 5_000_000
-
-# candidate-pair sets larger than this verify via the bucketed shuffle
-# join instead of a driver-side text dict
-VERIFY_COLLECT_MAX_PAIRS = 200_000
-# broadcast-verify: candidate docs whose shingle arrays are shipped once
-# via ray.put (~150 shingles × 8 B each ⇒ ≤ ~250 MB at the gate)
-VERIFY_BROADCAST_MAX_DOCS = 200_000
 
 
 def _jaccard_keep(texts_a, texts_b, threshold: float, shingle_size: int,
@@ -438,15 +433,15 @@ def verify_pairs(ds, pairs, id_col: str, text_col: str,
       stateless ``map_batches`` doing sorted-array intersection — the
       per-pair compute is distributed and nothing text-sized enters a
       shuffle. Right when candidates ≫ collect gate but candidate DOCS
-      fit one broadcast (``VERIFY_BROADCAST_MAX_DOCS``) — the common
+      fit one broadcast (the ``verify_docs`` gate) — the common
       boilerplate-heavy case (many pairs over few docs). Measured at
       sf0.1 (407k pairs / 5k docs): 9.5 s shuffle → 2.9 s broadcast.
     - "shuffle": no driver-side state beyond candidate ids. Candidate
       texts enter ONE bucketed tagged-union join keyed by id, then a
       re-bucket by pair id brings both halves together for worker-side
       Jaccard. Shuffle cost: candidate texts × 1 + pair halves × 2.
-    - "auto": collect under ``VERIFY_COLLECT_MAX_PAIRS``; else broadcast
-      under ``VERIFY_BROADCAST_MAX_DOCS`` candidate docs; else shuffle
+    - "auto": collect when the pairs fit the ``verify_pairs`` gate; else
+      broadcast when the candidate docs fit ``verify_docs``; else shuffle
       (DataFrame input; Dataset-input pairs use broadcast under the doc
       gate — the pair set itself still never lands on the driver — and
       shuffle above it).
@@ -455,7 +450,8 @@ def verify_pairs(ds, pairs, id_col: str, text_col: str,
 
     pairs_is_ds = not isinstance(pairs, pd.DataFrame)
     if strategy == "auto":
-        if not pairs_is_ds and len(pairs) <= VERIFY_COLLECT_MAX_PAIRS:
+        if not pairs_is_ds and fits("minhash.verify_pairs", len(pairs),
+                                    "verify_pairs"):
             strategy = "collect"
         else:
             strategy = "_gate"  # broadcast vs shuffle once cand count known
@@ -493,7 +489,8 @@ def verify_pairs(ds, pairs, id_col: str, text_col: str,
                                                 pairs["id_b"].to_numpy()]))
 
     if strategy == "_gate":
-        strategy = ("broadcast" if len(cand_sorted) <= VERIFY_BROADCAST_MAX_DOCS
+        strategy = ("broadcast" if fits("minhash.verify_pairs.docs",
+                                        len(cand_sorted), "verify_docs")
                     else "shuffle")
     if strategy == "broadcast":
         verified = _verify_broadcast(ds, pairs_idx, cand_sorted, id_col,
@@ -515,7 +512,7 @@ def _verify_broadcast(ds, pairs_ds, cand_sorted: np.ndarray, id_col: str,
     """Broadcast-verify core → Dataset of verified (id_a, id_b): the
     candidate docs' distinct shingle arrays are built distributed (one
     filtered map pass), collected once as id → sorted uint64 array
-    (bounded by ``VERIFY_BROADCAST_MAX_DOCS``), broadcast via ray.put,
+    (bounded by the ``verify_docs`` gate), broadcast via ray.put,
     and the pairs stream through a stateless intersection pass — bit-
     identical verdicts to ``_jaccard_keep`` (set-of-hashes Jaccard)."""
     import ray
@@ -640,13 +637,12 @@ def _verify_shuffle(ds, pairs_idx, cand_sorted: np.ndarray, id_col: str,
 def minhash_dedup(ds, id_col: str, text_col: str, threshold: float = 0.7,
                   n_perm: int = 64, bands: int = 16, shingle_size: int = 3,
                   seed: int = 17, hash_fn: str = "stable",
-                  strategy: str = "auto", verify_strategy: str = "auto",
                   output: str = "pandas"):
     """Full near-dup pass → (id, cluster) for docs in near-dup clusters
     (verified Jaccard ≥ threshold). Every stage has a collect path (small
-    inputs) and a shuffle path (scale), gated by measured row counts:
-    banding/pairing via ``strategy``, Jaccard verification via
-    ``verify_strategy``, components via ``UNION_FIND_MAX_PAIRS``.
+    inputs) and a shuffle path (scale), each chosen by a size gate on a
+    measured row count (``functions/gate.py``): pairing, Jaccard
+    verification and components.
 
     ``output="dataset"`` runs the fully-distributed route end-to-end —
     pairs, verification, and components all stay Ray Datasets; the driver
@@ -664,13 +660,10 @@ def minhash_dedup(ds, id_col: str, text_col: str, threshold: float = 0.7,
         return distributed_components(verified, as_dataset=True,
                                       id_name=id_col)
 
-    pairs = candidate_pairs(bands_ds, id_col, strategy=strategy)
+    pairs = candidate_pairs(bands_ds, id_col)
     if pairs.empty:
         return pd.DataFrame({id_col: [], "cluster": []})
     verified = verify_pairs(ds, pairs, id_col, text_col, threshold,
-                            shingle_size, hash_fn, strategy=verify_strategy)
-    if len(verified) <= UNION_FIND_MAX_PAIRS:
-        comp = union_find_components(verified)
-    else:
-        comp = distributed_components(verified)
-    return comp.rename(columns={"id": id_col})
+                            shingle_size, hash_fn)
+    return components(verified, "minhash.minhash_dedup") \
+        .rename(columns={"id": id_col})

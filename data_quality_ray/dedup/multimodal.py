@@ -17,12 +17,7 @@ import numpy as np
 import pandas as pd
 
 from ..functions.exchange import bucket_exchange
-
-# comp label maps at or below this row count broadcast as sorted arrays;
-# above it the label assignment rides a hash_join exchange instead (the
-# map is bounded by the DUPLICATED row count, which at web scale can
-# itself exceed a broadcast)
-LABEL_BROADCAST_MAX_ROWS = 5_000_000
+from ..functions.gate import fits
 
 
 def exact_key_edges(ds, id_col: str, key_col: str, n_buckets: int = 64):
@@ -52,10 +47,10 @@ def multimodal_dedup(ds, id_col: str, sig_col: str, text_col: str,
     visual (Hamming ≤ threshold) and textual (equal caption) edges,
     ``keep`` = the row is its component's representative (or untouched).
 
-    Components run under the shared ``UNION_FIND_MAX_PAIRS`` gate
-    (driver union-find below, distributed min-label propagation above).
-    The final label assignment is gated too: the comp map broadcasts as
-    sorted arrays below ``LABEL_BROADCAST_MAX_ROWS`` and rides one
+    Components run under the shared ``label_map_rows`` gate (driver
+    union-find below, distributed min-label propagation above). The
+    final label assignment is gated too: the comp map broadcasts as
+    sorted arrays within ``label_map_rows`` and rides one
     ``hash_join`` exchange above it — both routes are a mechanism, not a
     documented assumption. ``output="dataset"`` returns the streaming
     Dataset; ``"pandas"`` collects (query/test contract)."""
@@ -63,8 +58,7 @@ def multimodal_dedup(ds, id_col: str, sig_col: str, text_col: str,
     import ray.data as rd
 
     from ..functions.broadcast import cached_get
-    from .minhash import (UNION_FIND_MAX_PAIRS, distributed_components,
-                          union_find_components)
+    from .minhash import distributed_components, union_find_components
     from .simhash import hamming_candidates
 
     visual = hamming_candidates(
@@ -80,14 +74,15 @@ def multimodal_dedup(ds, id_col: str, sig_col: str, text_col: str,
     if n_pairs == 0:
         comp_ids = np.array([], dtype=object)
         comp_lbl = np.array([], dtype=object)
-    elif n_pairs <= UNION_FIND_MAX_PAIRS:
+    elif fits("multimodal.multimodal_dedup", n_pairs, "label_map_rows"):
         comp = union_find_components(pairs.to_pandas())
         comp_ids = comp["id"].to_numpy()
         comp_lbl = comp["cluster"].to_numpy()
     else:
         comp_ds = distributed_components(pairs, as_dataset=True,
                                          id_name=id_col)
-        if comp_ds.count() > LABEL_BROADCAST_MAX_ROWS:
+        if not fits("multimodal.multimodal_dedup.labels", comp_ds.count(),
+                    "label_map_rows"):
             from ..functions.joins import hash_join
 
             joined = hash_join(ds.select_columns([id_col]), comp_ds,

@@ -45,11 +45,10 @@ import pandas as pd
 from ..functions.exchange import bucket_exchange
 from ..profiling.sketches import CountMinSketch
 from .minhash import (
-    UNION_FIND_MAX_PAIRS,
     _cached_hasher,
+    components,
     dedup_pairs_dataset,
     distributed_components,
-    union_find_components,
     verify_pairs,
 )
 
@@ -274,10 +273,9 @@ def ngram_jaccard_dedup(ds, id_col: str, text_col: str, threshold: float = 0.5,
                             shingle_size, hash_fn)
     if verified.empty:
         return pd.DataFrame({id_col: [], "cluster": []})
-    edges = verified[["id_a", "id_b"]]
-    comp = (union_find_components(edges) if len(edges) <= UNION_FIND_MAX_PAIRS
-            else distributed_components(edges))
-    return comp.rename(columns={"id": id_col})
+    return components(verified[["id_a", "id_b"]],
+                      "ngram_jaccard.ngram_jaccard_dedup") \
+        .rename(columns={"id": id_col})
 
 
 def lsh_recall_eval(ds, id_col: str, text_col: str, threshold: float = 0.5,

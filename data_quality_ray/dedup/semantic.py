@@ -53,8 +53,7 @@ def semantic_dedup(ds, id_col: str, vec_col: str, threshold: float = 0.2,
     through one searchsorted membership pass. No all-ids driver frame.
     """
     from .embedding import neardup_pairs_within
-    from .minhash import (UNION_FIND_MAX_PAIRS, distributed_components,
-                          union_find_components)
+    from .minhash import components, distributed_components
 
     assigned = _assigned(ds, vec_col, n_lists, sample_rows, seed, centroids)
 
@@ -100,11 +99,8 @@ def semantic_dedup(ds, id_col: str, vec_col: str, threshold: float = 0.2,
     if pairs.empty:
         comp = pd.Series(dtype=ids.dtype, name="cluster")
     else:
-        edges = pairs[["id_a", "id_b"]]
-        cdf = (union_find_components(edges)
-               if len(edges) <= UNION_FIND_MAX_PAIRS
-               else distributed_components(edges))
-        comp = cdf.set_index("id")["cluster"]
+        comp = components(pairs[["id_a", "id_b"]], "semantic.semantic_dedup") \
+            .set_index("id")["cluster"]
     sem = ids.map(comp).fillna(ids).astype(ids.dtype)
     return (pd.DataFrame({id_col: ids, "sem_cluster": sem,
                           "keep": (sem == ids).to_numpy()})

@@ -15,12 +15,8 @@ import numpy as np
 import pandas as pd
 
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from ..profiling.sketches import HASH64
-
-# pandas-output pair sets below this MEASURED row count collect to the
-# driver for the cross-block dedup; larger ones ride the bucketed
-# distributed pair-dedup shuffle first (dedup.minhash.dedup_pairs_dataset)
-HAMMING_COLLECT_MAX_PAIRS = 2_000_000
 
 _BIT_POS = np.arange(64, dtype=np.uint64)
 _BIT_VAL = np.uint64(1) << _BIT_POS
@@ -93,9 +89,9 @@ def hamming_candidates(ds, id_col: str, sig_col: str,
     (the minhash ``as_dataset`` route) instead of a driver
     ``drop_duplicates``. Use when the verified-pair set itself can exceed
     driver memory (boilerplate-heavy text, image-scale phash). The pandas
-    route gates on the MEASURED pair count
-    (``HAMMING_COLLECT_MAX_PAIRS``): above it the uniqueness shuffle runs
-    distributed before the final collect."""
+    route gates on the MEASURED pair count (the ``collect_rows`` gate):
+    above it the uniqueness shuffle runs distributed before the final
+    collect."""
     assert n_blocks > hamming_threshold
     width = 64 // n_blocks
 
@@ -146,7 +142,7 @@ def hamming_candidates(ds, id_col: str, sig_col: str,
     # count — above the gate the uniqueness shuffle runs distributed and
     # only the already-unique pairs land on the driver
     pair_ds = pair_ds.materialize()
-    if pair_ds.count() > HAMMING_COLLECT_MAX_PAIRS:
+    if not fits("simhash.hamming_candidates", pair_ds.count(), "collect_rows"):
         return (dedup_pairs_dataset(pair_ds, keep_cols=("id_a", "id_b", "hamming"))
                 .to_pandas().reset_index(drop=True))
     out = pair_ds.to_pandas()
@@ -179,7 +175,7 @@ def simhash_dedup(ds, id_col: str, text_col: str, hamming_threshold: int = 3,
     Dataset (bucketed cross-block dedup) and components run via
     ``distributed_components(as_dataset=True)`` — the driver holds only
     per-round change counts. Returns a Dataset of (id_col, cluster)."""
-    from .minhash import UNION_FIND_MAX_PAIRS, distributed_components, union_find_components
+    from .minhash import components, distributed_components
 
     if output == "dataset":
         pairs_ds = simhash_candidates(ds, id_col, text_col, hamming_threshold,
@@ -196,7 +192,5 @@ def simhash_dedup(ds, id_col: str, text_col: str, hamming_threshold: int = 3,
                                n_blocks, hash_fn)
     if pairs.empty:
         return pd.DataFrame({id_col: [], "cluster": []})
-    edges = pairs[["id_a", "id_b"]]
-    comp = (union_find_components(edges) if len(edges) <= UNION_FIND_MAX_PAIRS
-            else distributed_components(edges))
-    return comp.rename(columns={"id": id_col})
+    return components(pairs[["id_a", "id_b"]], "simhash.simhash_dedup") \
+        .rename(columns={"id": id_col})

@@ -19,7 +19,7 @@ Scale shape:
      all-to-all, on (hash, count) pairs only;
   3. windows with count >= 2 form the duplicate set — tiny relative to
      the corpus (bounded by actual repetition):
-     - collect path (<= ``DUP_COLLECT_MAX``): sorted uint64 array
+     - collect path (within the ``collect_rows`` gate): sorted uint64 array
        broadcast once, per-doc searchsorted probe + span union in one
        stateless pass (the ``dedup/decontaminate.py`` shape);
      - distributed path: window rows hash-join the duplicate set, hit
@@ -40,9 +40,9 @@ import numpy as np
 import pandas as pd
 
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from ..profiling.sketches import md5_hash64
 
-DUP_COLLECT_MAX = 2_000_000
 _WS_RE = re.compile(r"\s+")
 
 
@@ -93,8 +93,7 @@ def _cut(toks: list[str], starts: np.ndarray, n: int):
 
 
 def substring_dedup(ds, id_col: str, text_col: str, n: int = 8,
-                    strategy: str = "auto", hash_fn: str = "md5",
-                    n_buckets: int = 32):
+                    hash_fn: str = "md5", n_buckets: int = 32):
     """→ Dataset (id, n_tokens, n_removed, text) over ALL docs (cleaning
     semantics: fully-duplicated docs come back with empty text)."""
     import ray
@@ -104,10 +103,7 @@ def substring_dedup(ds, id_col: str, text_col: str, n: int = 8,
     counts = window_counts(ds, text_col, n, hash_fn)
     dup = counts.map_batches(lambda b: b[b["cnt"] >= 2][["h"]],
                              batch_format="pandas").materialize()
-    if strategy == "auto":
-        strategy = "collect" if dup.count() <= DUP_COLLECT_MAX else "shuffle"
-
-    if strategy == "collect":
+    if fits("substring.substring_dedup", dup.count(), "collect_rows"):
         dup_sorted = np.sort(dup.to_pandas()["h"].to_numpy().astype(np.int64))
         ref = ray.put(dup_sorted)
 
@@ -127,9 +123,6 @@ def substring_dedup(ds, id_col: str, text_col: str, n: int = 8,
                                  "n_removed": out_nr, "text": out_tx})
 
         return ds.map_batches(clean, batch_format="pandas")
-
-    if strategy != "shuffle":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     from ..functions.joins import hash_join
 

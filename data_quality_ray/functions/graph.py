@@ -20,6 +20,7 @@ import pandas as pd
 
 from ..rules.heuristics import round_half_away
 from .exchange import bucket_exchange
+from .gate import fits
 
 RANK_ROUND = 9  # per-round quantization; final outputs re-round to 6
 
@@ -133,24 +134,19 @@ def hits(edges_ds, rounds: int = 5):
             pd.DataFrame({"node": dsts, "auth": a}))
 
 
-# A tiny graph through six bucketed exchanges is pure fixed launch
-# latency (measured: 42 s for 3853 edges at 64 buckets, 32 CPUs —
-# vs ~0.1 s local). Collect when the MEASURED edge count fits AND the
-# wedge workload (Σ c·(c−1)/2 over the relevant degree) fits in one
-# process; otherwise the distributed path is unchanged.
-GRAPH_COLLECT_MAX_EDGES = 100_000
-GRAPH_COLLECT_MAX_WEDGES = 50_000_000
-
-
-def _collect_small_graph(edges_ds, strategy: str):
-    """Shared gate: returns the collected (u, v) frame when the collect
-    path should run, else None. ``strategy``: 'auto' | 'collect' |
-    'shuffle' (forced paths for parity tests)."""
-    if strategy == "shuffle":
-        return None
-    if strategy == "auto" and edges_ds.count() > GRAPH_COLLECT_MAX_EDGES:
+def _collect_small_graph(edges_ds, site: str):
+    """Shared gate: the collected (u, v) frame when the MEASURED edge
+    count fits the ``graph_edges`` gate, else None. The callers then
+    check their wedge workload (Σ c·(c−1)/2 over the relevant degree)
+    against ``graph_wedges`` before running locally."""
+    if not fits(site, edges_ds.count(), "graph_edges"):
         return None
     return edges_ds.to_pandas()
+
+
+def _wedges_fit(site: str, counts: np.ndarray) -> bool:
+    c = counts.astype(np.float64)
+    return fits(site, int((c * (c - 1) / 2).sum()), "graph_wedges")
 
 
 def _triangles_local(e: pd.DataFrame) -> pd.DataFrame:
@@ -179,12 +175,7 @@ def _triangles_local(e: pd.DataFrame) -> pd.DataFrame:
             .sort_values("id").reset_index(drop=True))
 
 
-def _wedge_workload(counts: np.ndarray) -> int:
-    c = counts.astype(np.float64)
-    return int((c * (c - 1) / 2).sum())
-
-
-def triangle_counts(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
+def triangle_counts(edges_ds, n_buckets: int = 64):
     """Exact triangle counting over an UNDIRECTED distinct edge Dataset
     ``(u, v)`` with ``u < v`` (int64 node ids). Degree-ordered
     node-iterator (Schank & Wagner 2005; Latapy 2008): every edge is
@@ -208,7 +199,7 @@ def triangle_counts(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
     from .joins import hash_join
 
     edges_ds = edges_ds.materialize()  # consumed by degree count + joins
-    e = _collect_small_graph(edges_ds, strategy)
+    e = _collect_small_graph(edges_ds, "graph.triangle_counts")
     if e is not None:
         # oriented out-degree bounds the local wedge merge; spill back to
         # the distributed path if a hub graph would blow the driver
@@ -218,10 +209,10 @@ def triangle_counts(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
             du, dv = deg.reindex(u).to_numpy(), deg.reindex(v).to_numpy()
             swap = (dv < du) | ((dv == du) & (v < u))
             out_deg = pd.Series(np.where(swap, v, u)).value_counts()
-            ok = _wedge_workload(out_deg.to_numpy()) <= GRAPH_COLLECT_MAX_WEDGES
+            ok = _wedges_fit("graph.triangle_counts.wedges", out_deg.to_numpy())
         else:
             ok = True
-        if ok or strategy == "collect":
+        if ok:
             import ray.data as rd
 
             return rd.from_pandas(_triangles_local(e))
@@ -280,8 +271,7 @@ def triangle_counts(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
                              final="shuffle")
 
 
-def kcore(edges_ds, k: int, rounds: int = 12, n_buckets: int = 64,
-          strategy: str = "auto"):
+def kcore(edges_ds, k: int, rounds: int = 12, n_buckets: int = 64):
     """k-core decomposition by iterated peeling: drop nodes with degree
     < k, re-count, repeat — EXACTLY ``rounds`` rounds on both engines
     (rounds after the fixpoint are no-ops, so a fixed round count makes
@@ -299,7 +289,7 @@ def kcore(edges_ds, k: int, rounds: int = 12, n_buckets: int = 64,
     from .joins import hash_join
 
     edges_ds = edges_ds.materialize()
-    e = _collect_small_graph(edges_ds, strategy)
+    e = _collect_small_graph(edges_ds, "graph.kcore")
     if e is not None:
         for _ in range(rounds):
             if e.empty:
@@ -376,7 +366,7 @@ def _link_prediction_local(e: pd.DataFrame) -> pd.DataFrame:
         .reset_index(drop=True)
 
 
-def link_prediction(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
+def link_prediction(edges_ds, n_buckets: int = 64):
     """Common-neighbor link prediction with Adamic–Adar weighting over an
     UNDIRECTED distinct edge Dataset (u, v), u < v: for every NON-edge
     pair (a, b) sharing >= 1 neighbor, cn = |N(a) ∩ N(b)| and
@@ -398,16 +388,16 @@ def link_prediction(edges_ds, n_buckets: int = 64, strategy: str = "auto"):
     from .joins import hash_join
 
     edges_ds = edges_ds.materialize()
-    e = _collect_small_graph(edges_ds, strategy)
+    e = _collect_small_graph(edges_ds, "graph.link_prediction")
     if e is not None:
         if len(e):
             cd = pd.Series(np.concatenate([e["u"].to_numpy(np.int64),
                                            e["v"].to_numpy(np.int64)])) \
                 .value_counts()
-            ok = _wedge_workload(cd.to_numpy()) <= GRAPH_COLLECT_MAX_WEDGES
+            ok = _wedges_fit("graph.link_prediction.wedges", cd.to_numpy())
         else:
             ok = True
-        if ok or strategy == "collect":
+        if ok:
             import ray.data as rd
 
             return rd.from_pandas(_link_prediction_local(e))

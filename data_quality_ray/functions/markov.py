@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..rules.heuristics import round_half_away
 from .exchange import bucket_exchange
 
 __all__ = ["transition_matrix"]
@@ -55,7 +56,6 @@ def transition_matrix(ds, key_col: str, ts_col: str, type_col: str,
            .reset_index())
     tot = agg.groupby("src")["n"].transform("sum")
     p = agg["n"].to_numpy(np.float64) / tot.to_numpy(np.float64)
-    # half-away at 6 dp (DuckDB round parity; banker's flips on halves)
-    agg["p"] = np.floor(p * 1e6 + 0.5) / 1e6
+    agg["p"] = round_half_away(p)
     agg["n"] = agg["n"].astype(np.int64)
     return agg.reset_index(drop=True)

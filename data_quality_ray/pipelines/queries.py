@@ -26,6 +26,7 @@ from ..dedup.simhash import add_simhash
 from ..dedup.survivorship import golden_records
 from ..functions.converters import convert_distance, julian_days
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from ..functions.matchers import levenshtein_distance
 from ..functions.text import fingerprint_key_one, pattern_fingerprint, token_counts, unique_apply
 from ..functions.typeinfer import infer_type_one
@@ -664,11 +665,11 @@ def tpch_q3_shipping(sf_dir: str, segment: str = "BUILDING",
         })[b["l_shipdate"].to_numpy() > cut], batch_format="pandas")
 
     cust = cust.materialize()  # small side: segment-filtered keys only
-    if cust.count() <= 2_000_000:
+    if fits("queries.tpch_q3_shipping", cust.count(), "collect_rows"):
         qualified = broadcast_join(orders, cust.to_pandas(),
                                    on="o_custkey", right_cols=[],
                                    how="semi")
-    else:  # pragma: no cover - fixture never crosses the gate
+    else:
         qualified = hash_join(orders, cust, on="o_custkey", right_cols=[],
                               how="semi", n_buckets=32)
     joined = agg_join(qualified, line, on="o_orderkey",
@@ -853,17 +854,11 @@ def cross_run_neardup_docs(sf_dir: str) -> pd.DataFrame:
             .sort_values("doc_id").reset_index(drop=True))
 
 
-# below this row count the blocked fuzzy self-join runs on the driver —
-# the bucketed groupby's fixed shuffle cost (~1 s) dwarfs the compute on
-# small tables (measured: r1 collect 1.43 s vs r2 shuffle 2.44 s at sf0.1,
-# 2k suppliers); the shuffle path is for inputs that don't fit one node
-MATCHING_COLLECT_MAX_ROWS = 500_000
-
-
-def matching_pairs_supplier(sf_dir: str, strategy: str = "auto") -> pd.DataFrame:
+def matching_pairs_supplier(sf_dir: str) -> pd.DataFrame:
     """Blocked fuzzy self-join: same 14-char prefix block, levenshtein ≤ 2
     (matches DuckDB's levenshtein). Blocking assumption documented: pairs
-    across blocks are not compared."""
+    across blocks are not compared. Runs on the driver within the
+    ``matching_rows`` size gate, as a bucketed exchange above it."""
     ds = _read(sf_dir, "supplier", columns=["s_suppkey", "s_name"])
 
     def add_key(b: pd.DataFrame) -> pd.DataFrame:
@@ -898,11 +893,8 @@ def matching_pairs_supplier(sf_dir: str, strategy: str = "auto") -> pd.DataFrame
                                  "dist": pd.Series(dtype="int64")})
         return pd.concat(frames, ignore_index=True)
 
-    if strategy == "auto":
-        ds = ds.materialize()
-        strategy = "collect" if ds.count() <= MATCHING_COLLECT_MAX_ROWS else "shuffle"
-
-    if strategy == "collect":
+    ds = ds.materialize()
+    if fits("queries.matching_pairs_supplier", ds.count(), "matching_rows"):
         # one task's worth of work: fetch the two columns, run the same
         # per-block vectorized kernel driver-side — zero shuffle rounds
         pdf = ds.to_pandas()
@@ -2186,8 +2178,7 @@ def fs_entity_resolution_customers(sf_dir: str) -> pd.DataFrame:
     import ray.data as rd
 
     from ..dedup.fellegi_sunter import fs_em
-    from ..dedup.minhash import (UNION_FIND_MAX_PAIRS,
-                                 distributed_components,
+    from ..dedup.minhash import (distributed_components,
                                  union_find_components)
     from ..functions.broadcast import cached_get
     from ..profiling.groupagg import grouped_aggregate
@@ -2246,7 +2237,8 @@ def fs_entity_resolution_customers(sf_dir: str) -> pd.DataFrame:
     if n_links == 0:
         comp_ids = np.array([], dtype=np.int64)
         comp_lbl = np.array([], dtype=np.int64)
-    elif n_links <= UNION_FIND_MAX_PAIRS:
+    elif fits("queries.fs_entity_resolution_customers", n_links,
+              "label_map_rows"):
         comp = union_find_components(links.to_pandas())
         comp_ids = comp["id"].to_numpy()
         comp_lbl = comp["cluster"].to_numpy()
@@ -2950,11 +2942,10 @@ def domain_keep_ci_docs(sf_dir: str) -> pd.DataFrame:
     # grouping matches the SQL expression term-for-term (ulp parity)
     lo = (p + z * z / (2 * n) - root) / den
     hi = (p + z * z / (2 * n) + root) / den
-    r6 = lambda a: np.sign(a) * np.floor(np.abs(a) * 1e6 + 0.5) / 1e6
     return pd.DataFrame({
         "domain": rep["domain"], "n_docs": rep["n_docs"],
         "n_keep": rep["n_keep"],
-        "ci_lo": r6(lo), "ci_hi": r6(hi),
+        "ci_lo": round_half_away(lo), "ci_hi": round_half_away(hi),
     })
 
 
@@ -2991,8 +2982,7 @@ def rfm_segments_orders(sf_dir: str) -> pd.DataFrame:
     fences = {}
     for col in ("r", "f", "m"):
         _n, qs = exact_quantiles(pc, col, [0.25, 0.5, 0.75])
-        fences[col] = np.floor(np.abs(np.asarray(qs, np.float64)) * 1e6
-                               + 0.5) / 1e6 * np.sign(qs)
+        fences[col] = round_half_away(qs)
 
     def code(b: pd.DataFrame) -> pd.DataFrame:
         sc = {}
@@ -3062,9 +3052,7 @@ def correlation_matrix_lineitem(sf_dir: str) -> pd.DataFrame:
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
             r = cov[i, j] / (sd[i] * sd[j])
-            rows.append((cols[i], cols[j],
-                         float(np.sign(r) * np.floor(abs(r) * 1e6 + 0.5)
-                               / 1e6), n))
+            rows.append((cols[i], cols[j], float(round_half_away(r)), n))
     out = pd.DataFrame(rows, columns=["col_a", "col_b", "r", "n"])
     out["n"] = out["n"].astype("int64")
     return out
@@ -3124,9 +3112,7 @@ def source_divergence_docs(sf_dir: str) -> pd.DataFrame:
         p[sub["b"].to_numpy(np.int64)] += sub["n"].to_numpy(np.float64)
         p /= (ns + B)
         kl = float((p * np.log(p / q)).sum())
-        rows.append((src, int(ns),
-                     float(np.floor(abs(kl) * 1e6 + 0.5) / 1e6
-                           * np.sign(kl))))
+        rows.append((src, int(ns), float(round_half_away(kl))))
     return pd.DataFrame(rows, columns=["source", "n_tokens", "kl"])
 
 
@@ -3218,15 +3204,12 @@ def calibration_docs(sf_dir: str) -> pd.DataFrame:
                                     "s": ("quality_score", "sum"),
                                     "k": ("keep", "sum")})
     g = g.sort_values("bin").reset_index(drop=True)
-    def r6s(x):  # signed half-away (DuckDB round; scores can be < 0)
-        v = x.to_numpy(np.float64)
-        return np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
 
     out = pd.DataFrame({
         "bin": g["bin"].astype("int64"),
         "n": g["n"].astype("int64"),
-        "mean_score": r6s(g["s"] / g["n"]),
-        "keep_rate": r6s(g["k"] / g["n"]),
+        "mean_score": round_half_away(g["s"] / g["n"]),
+        "keep_rate": round_half_away(g["k"] / g["n"]),
     })
     return out
 
@@ -3561,8 +3544,7 @@ def lang_mix_docs(sf_dir: str) -> pd.DataFrame:
 
     out = ds.map_batches(stage, batch_format="pandas").to_pandas()
     out[["n_lines", "n_offlang"]] = out[["n_lines", "n_offlang"]].astype("int64")
-    out["mix_ratio"] = np.floor(
-        out["n_offlang"] / out["n_lines"] * 1e6 + 0.5) / 1e6
+    out["mix_ratio"] = round_half_away(out["n_offlang"] / out["n_lines"])
     return (out[["doc_id", "lang_doc", "n_lines", "n_offlang", "mix_ratio"]]
             .sort_values("doc_id").reset_index(drop=True))
 
@@ -3759,7 +3741,7 @@ def domain_quality_report_docs(sf_dir: str) -> pd.DataFrame:
     out[["n_docs", "n_keep", "n_scrubbed"]] = out[
         ["n_docs", "n_keep", "n_scrubbed"]].astype("int64")
     kr = out["n_keep"].to_numpy(np.float64) / out["n_docs"].to_numpy(np.float64)
-    out["keep_rate"] = np.floor(kr * 1e6 + 0.5) / 1e6
+    out["keep_rate"] = round_half_away(kr)
     return (out[["domain", "n_docs", "n_keep", "keep_rate", "n_scrubbed"]]
             .sort_values("domain").reset_index(drop=True))
 

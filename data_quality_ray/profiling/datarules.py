@@ -33,6 +33,7 @@ import math
 import numpy as np
 import pandas as pd
 
+from ..rules.heuristics import round_half_away
 from .groupagg import grouped_aggregate
 
 
@@ -153,8 +154,7 @@ def benford_first_digit(ds, col: str) -> pd.DataFrame:
     merged = grouped_aggregate(out, ["digit"], {"n": ("n", "sum")})
     tot = merged["n"].sum()
     f = merged["n"].to_numpy(np.float64) / tot
-    # half-away at 6 dp (DuckDB round parity; banker's flips on halves)
-    merged["freq"] = np.floor(f * 1e6 + 0.5) / 1e6
+    merged["freq"] = round_half_away(f)
     merged["expected"] = merged["digit"].map(
         lambda d: round(BENFORD_EXPECTED[int(d)], 6))
     return merged.sort_values("digit").reset_index(drop=True)
@@ -488,8 +488,7 @@ def grouped_mad_outliers(ds, group_col: str, val_col: str,
     half = z * 1.4826 * mad["q_val"].to_numpy(np.float64)
     lo = med["q_val"].to_numpy(np.float64) - half
     hi = med["q_val"].to_numpy(np.float64) + half
-    r6 = lambda a: np.sign(a) * np.floor(np.abs(a) * 1e6 + 0.5) / 1e6
-    lo, hi = r6(lo), r6(hi)
+    lo, hi = round_half_away(lo), round_half_away(hi)
     fref = ray.put((med[group_col].to_numpy(object), lo, hi))
 
     def count_out(b: pd.DataFrame) -> pd.DataFrame:
@@ -598,7 +597,7 @@ def dp_noisy_counts(ds, group_col: str, eps: float = 1.0,
                     .to_numpy()).astype(np.float64) + 0.5) / 2.0 ** 64
     noise = -(1.0 / eps) * np.sign(u - 0.5) * np.log(1.0 - 2.0 * np.abs(u - 0.5))
     x = counts["n"].to_numpy(np.float64) + noise
-    counts["noisy_n"] = np.sign(x) * np.floor(np.abs(x) * 1e6 + 0.5) / 1e6
+    counts["noisy_n"] = round_half_away(x)
     counts["n"] = counts["n"].astype("int64")
     return counts
 
@@ -951,16 +950,13 @@ def seasonal_anomalies(ds, ts_col: str, sigma: float = 1.5) -> pd.DataFrame:
                   np.sqrt(np.maximum(s2 - s1 * s1 / cnt, 0.0)
                           / np.maximum(cnt - 1, 1)), 0.0)
 
-    def r6(v):
-        return np.sign(v) * np.floor(np.abs(v) * 1e6 + 0.5) / 1e6
-
-    hi, lo = r6(mu + sigma * sd), r6(mu - sigma * sd)
+    hi, lo = round_half_away(mu + sigma * sd), round_half_away(mu - sigma * sd)
     flag = (sd > 0) & ((n > hi) | (n < lo))
     return pd.DataFrame({
         "hour": h[flag].to_numpy(),
         "n": counts["n"].to_numpy(np.int64)[flag],
-        "slot_mean": r6(mu[flag]),
-        "slot_std": r6(sd[flag]),
+        "slot_mean": round_half_away(mu[flag]),
+        "slot_std": round_half_away(sd[flag]),
     }).reset_index(drop=True)
 
 
@@ -1032,8 +1028,7 @@ def inclusion_matrix(tagged: list[tuple]) -> pd.DataFrame:
         cont = common / na if na else 0.0
         rows.append({"col_a": a, "col_b": b, "n_a": na, "n_b": size[b],
                      "n_common": common,
-                     "containment": float(np.sign(cont) * np.floor(
-                         abs(cont) * 1e6 + 0.5) / 1e6),
+                     "containment": float(round_half_away(cont)),
                      "is_ind": bool(na > 0 and common == na)})
     out = pd.DataFrame(rows).sort_values(["col_a", "col_b"]) \
         .reset_index(drop=True)

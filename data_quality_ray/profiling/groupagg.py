@@ -17,14 +17,9 @@ from __future__ import annotations
 
 import pandas as pd
 
-_FINAL = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+from ..functions.gate import fits
 
-# final="auto" collects when the MEASURED partial row count (one row per
-# (batch, key) — an upper bound on distinct keys) fits comfortably on the
-# driver; above it the merge shuffles. Interleaved quiet-window A/B at
-# sf0.1 (235k distinct doc texts): driver 1.20 s vs shuffle 1.89 s — the
-# bucketed exchange's fixed latency only pays off past millions of keys.
-AUTO_COLLECT_MAX_PARTIAL_ROWS = 4_000_000
+_FINAL = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
 
 def grouped_aggregate(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
@@ -46,8 +41,8 @@ def grouped_aggregate(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
       vs 1 s at 235k keys, measured — so high-cardinality finals go
       through the bucket shape like every other distributed merge here.)
     - "auto": measured-size gate — materializes the partials, counts
-      their rows (≥ distinct keys), and picks "driver" at or below
-      ``AUTO_COLLECT_MAX_PARTIAL_ROWS``, "shuffle" above. Return type
+      their rows (≥ distinct keys), and picks "driver" when they fit
+      the ``partial_rows`` size gate, "shuffle" above. Return type
       follows the chosen path; right for callers that collect the result
       anyway (broadcast-winners patterns) but must stay safe on
       unbounded key spaces.
@@ -70,7 +65,8 @@ def grouped_aggregate(ds, keys: list[str], aggs: dict[str, tuple[str, str]],
 
     if final == "auto":
         partials = partials.materialize()
-        final = ("driver" if partials.count() <= AUTO_COLLECT_MAX_PARTIAL_ROWS
+        final = ("driver" if fits("groupagg.grouped_aggregate",
+                                  partials.count(), "partial_rows")
                  else "shuffle")
 
     if final == "shuffle":

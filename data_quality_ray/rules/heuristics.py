@@ -161,12 +161,11 @@ def readability_stats(texts) -> dict[str, np.ndarray]:
                 .reindex(s.index, fill_value=0))
     ok = n_words > 0
     flesch = 206.835 - 1.015 * (n_words / n_sent) - 84.6 * (n_syl / n_words)
-    fl = np.sign(flesch) * np.floor(np.abs(flesch) * 1e6 + 0.5) / 1e6
     return {
         "n_words": n_words.where(ok).to_numpy(np.float64),
         "n_sentences": n_sent.where(ok).to_numpy(np.float64),
         "n_syllables": n_syl.where(ok).to_numpy(np.float64),
-        "flesch": fl.where(ok).to_numpy(np.float64),
+        "flesch": round_half_away(flesch.where(ok)),
     }
 
 

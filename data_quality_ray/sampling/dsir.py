@@ -29,6 +29,7 @@ import numpy as np
 import pandas as pd
 
 from ..profiling.sketches import md5_hash64
+from ..rules.heuristics import round_half_away
 
 
 def _features(text) -> list[str]:
@@ -91,9 +92,9 @@ def dsir_weights(corpus_ds, target_ds, id_col: str, text_col: str,
         csum = np.concatenate(([0.0], np.cumsum(fw)))
         ends = np.cumsum(counts)
         sums = csum[ends] - csum[ends - counts]
-        out = np.copysign(np.floor(np.abs(sums) * 1e6 + 0.5), sums) / 1e6
         return pd.DataFrame({id_col: b[id_col].to_numpy(),
-                             "n_features": counts, "dsir_weight": out})
+                             "n_features": counts,
+                             "dsir_weight": round_half_away(sums)})
 
     return corpus_ds.map_batches(score, batch_format="pandas")
 

@@ -40,9 +40,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-# eps-pair lists at or below this MEASURED row count collect to the
-# driver for labeling; the dataset route never collects them
-DBSCAN_COLLECT_MAX_PAIRS = 2_000_000
+from ..functions.gate import fits
 
 
 def _ids_mat(tbl, id_col: str, vec_col: str):
@@ -128,8 +126,7 @@ def eps_pairs_blocked(ds, id_col: str, vec_col: str, eps: float,
 def _label_frame(ids: np.ndarray, pairs: pd.DataFrame, min_pts: int,
                  id_col: str) -> pd.DataFrame:
     """Driver-side DBSCAN labeling from a collected pair list."""
-    from ..dedup.minhash import (UNION_FIND_MAX_PAIRS, distributed_components,
-                                 union_find_components)
+    from ..dedup.minhash import components
 
     ends = pd.concat([pairs["id_a"], pairs["id_b"]], ignore_index=True)
     deg = ends.value_counts()
@@ -141,9 +138,7 @@ def _label_frame(ids: np.ndarray, pairs: pd.DataFrame, min_pts: int,
     b_core = pairs["id_b"].isin(core_set).to_numpy()
     ce = pairs.loc[a_core & b_core, ["id_a", "id_b"]]
     if len(ce):
-        cdf = (union_find_components(ce) if len(ce) <= UNION_FIND_MAX_PAIRS
-               else distributed_components(ce))
-        lab = cdf.set_index("id")["cluster"]
+        lab = components(ce, "dbscan.dbscan").set_index("id")["cluster"]
     else:
         lab = pd.Series(dtype="int64")
     # isolated core points (min_pts == 1 singletons) label themselves
@@ -183,10 +178,10 @@ def dbscan(ds, id_col: str, vec_col: str, eps: float = 0.65,
     if output == "dataset":
         return _dbscan_dataset(ds, id_col, vec_col, eps, min_pts, n_blocks)
     pairs = eps_pairs_blocked(ds, id_col, vec_col, eps, n_blocks=n_blocks)
-    if len(pairs) > DBSCAN_COLLECT_MAX_PAIRS:
+    if not fits("dbscan.dbscan.pairs", len(pairs), "collect_rows"):
         raise ValueError(
-            f"{len(pairs)} eps-pairs exceed the collect gate "
-            f"({DBSCAN_COLLECT_MAX_PAIRS}) — use output='dataset'")
+            f"{len(pairs)} eps-pairs exceed the collect_rows size gate "
+            "— use output='dataset'")
     ids = ds.select_columns([id_col]).to_pandas()[id_col].to_numpy()
     return _label_frame(ids, pairs, min_pts, id_col)
 

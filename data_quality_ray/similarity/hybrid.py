@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..rules.heuristics import round_half_away
+
 __all__ = ["multi_cosine_topk", "rrf_fuse", "hybrid_search"]
 
 RRF_C = 60  # the canonical reciprocal-rank damping constant
@@ -78,9 +80,8 @@ def rrf_fuse(rankings: list[pd.DataFrame], k: int = 10,
     all_r["contrib"] = 1.0 / (c + all_r["rank"].to_numpy(dtype=np.float64))
     agg = (all_r.groupby(["query_id", "id"], sort=True)["contrib"].sum()
            .rename("rrf").reset_index())
-    # rrf is a sum of exact rationals 1/(c+rank) — half-away rounding
-    # at 6 dp (DuckDB round parity; banker's flips on exact halves)
-    agg["rrf"] = np.floor(agg["rrf"].to_numpy(np.float64) * 1e6 + 0.5) / 1e6
+    # rrf is a sum of exact rationals 1/(c+rank): exact halves happen
+    agg["rrf"] = round_half_away(agg["rrf"])
     out = []
     for qid, g in agg.groupby("query_id", sort=True):
         g = (g.sort_values(["rrf", "id"], ascending=[False, True],

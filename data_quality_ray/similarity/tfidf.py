@@ -4,7 +4,7 @@ frequency is a corpus-wide aggregate that every row then needs).
 
 Two scale paths behind the repo's usual measured-size gate:
 
-- collect (df vocabulary ≤ ``VOCAB_COLLECT_MAX``): the (term → df) table
+- collect (df vocabulary within the ``collect_rows`` gate): the (term → df) table
   is collected once, broadcast via ``ray.put``, and scoring is a single
   stateless ``map_batches`` — natural-language vocabularies (≤ a few
   million terms after tokenization) fit comfortably;
@@ -30,9 +30,8 @@ import numpy as np
 import pandas as pd
 
 from ..functions.exchange import bucket_exchange
+from ..functions.gate import fits
 from .bm25 import bm25_tokens
-
-VOCAB_COLLECT_MAX = 2_000_000
 
 
 def term_doc_frequency(ds, id_col: str, text_col: str):
@@ -61,22 +60,18 @@ def _topk_frame(sc: pd.DataFrame, id_col: str, k: int) -> pd.DataFrame:
 
 
 def tfidf_topk(ds, id_col: str, text_col: str, k: int = 5,
-               strategy: str = "auto", n_buckets: int = 32,
-               round_to: int = 6):
+               n_buckets: int = 32, round_to: int = 6):
     """→ (id, term, score, rank): top-``k`` terms per doc by
     ``tf · ln(N/df)``, rank by (rounded score desc, term asc) so the
-    order is engine-stable. ``strategy``: "collect" | "shuffle" | "auto"
-    (collect while the vocabulary fits ``VOCAB_COLLECT_MAX``)."""
+    order is engine-stable. Collects while the vocabulary fits the
+    ``collect_rows`` gate, shuffles above it."""
     import ray
 
     from ..functions.broadcast import cached_get
 
     n_docs = ds.count()
     df_ds = term_doc_frequency(ds, id_col, text_col).materialize()
-    if strategy == "auto":
-        strategy = "collect" if df_ds.count() <= VOCAB_COLLECT_MAX else "shuffle"
-
-    if strategy == "collect":
+    if fits("tfidf.tfidf_topk", df_ds.count(), "collect_rows"):
         df_pdf = df_ds.to_pandas()
         ref = ray.put(dict(zip(df_pdf["term"], df_pdf["df"].astype(np.int64))))
 
@@ -97,9 +92,6 @@ def tfidf_topk(ds, id_col: str, text_col: str, k: int = 5,
             return _topk_frame(sc, id_col, k)  # per-batch: docs never split
 
         return ds.map_batches(score_batch, batch_format="pandas")
-
-    if strategy != "shuffle":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     def explode_tf(b: pd.DataFrame) -> pd.DataFrame:
         rows_id, rows_t, rows_tf = [], [], []

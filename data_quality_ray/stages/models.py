@@ -27,6 +27,7 @@ from collections import Counter
 import numpy as np
 
 from ..functions.text import unique_apply
+from ..rules.heuristics import round_half_away
 from .corpus import training_sentences
 
 _PROCESS_MODELS: dict = {}
@@ -231,7 +232,7 @@ class HashedLinearQuality:
         ends = np.cumsum(counts)
         sums = csum[ends] - csum[ends - counts]
         raw = sums / np.maximum(counts, 1)
-        score = np.copysign(np.floor(np.abs(raw) * 1e6 + 0.5), raw) / 1e6
+        score = round_half_away(raw)
         return {"n_features": counts,
                 "quality_score": score,
                 "quality_label": score > 0}

@@ -49,12 +49,10 @@ def test_matches_ground_truth(ray_session, texts):
     pd.testing.assert_frame_equal(got, _truth(texts), check_dtype=False)
 
 
-def test_shuffle_merge_parity(ray_session, texts, monkeypatch):
+def test_shuffle_merge_parity(ray_session, texts, force_path):
     import ray.data as rd
 
-    from data_quality_ray.profiling import groupagg
-
-    monkeypatch.setattr(groupagg, "AUTO_COLLECT_MAX_PARTIAL_ROWS", 1)
+    force_path("shuffle")
     ds = rd.from_pandas(pd.DataFrame({"text": texts})).repartition(5)
     got = bigram_pmi(ds, "text", min_count=2, k=20)
     pd.testing.assert_frame_equal(got, _truth(texts), check_dtype=False)

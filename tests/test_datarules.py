@@ -228,7 +228,7 @@ def test_grouped_aggregate_random_parity(ray_session):
             assert list(got["n"].astype(int)) == list(exp["n"].astype(int))
 
 
-def test_grouped_aggregate_auto_gate(ray_session):
+def test_grouped_aggregate_auto_gate(ray_session, force_path):
     """final='auto' must pick the driver path (DataFrame) under the
     measured partial-row gate and the shuffle path (Dataset) above it,
     with identical values either way."""
@@ -240,12 +240,8 @@ def test_grouped_aggregate_auto_gate(ray_session):
     aggs = {"n": ("", "count"), "s": ("v", "sum")}
     a = ga.grouped_aggregate(ds, ["k"], aggs, final="auto")
     assert isinstance(a, pd.DataFrame)  # tiny input → driver path
-    orig = ga.AUTO_COLLECT_MAX_PARTIAL_ROWS
-    ga.AUTO_COLLECT_MAX_PARTIAL_ROWS = 1
-    try:
-        b = ga.grouped_aggregate(ds, ["k"], aggs, final="auto")
-    finally:
-        ga.AUTO_COLLECT_MAX_PARTIAL_ROWS = orig
+    force_path("shuffle")
+    b = ga.grouped_aggregate(ds, ["k"], aggs, final="auto")
     assert not isinstance(b, pd.DataFrame)  # forced shuffle → Dataset
     bd = b.to_pandas().sort_values("k").reset_index(drop=True)
     pd.testing.assert_frame_equal(

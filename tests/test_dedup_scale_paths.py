@@ -24,21 +24,23 @@ def _docs_df(n=400, seed=7):
     return pd.DataFrame(rows, columns=["doc_id", "text"])
 
 
-def test_candidate_pairs_collect_equals_shuffle(ray_session):
+def test_candidate_pairs_collect_equals_shuffle(ray_session, force_path):
     import ray.data as rd
 
     from data_quality_ray.dedup.minhash import candidate_pairs, minhash_bands
 
     ds = rd.from_pandas(_docs_df()).repartition(8)
     bands = minhash_bands(ds, "doc_id", "text").materialize()
-    a = candidate_pairs(bands, "doc_id", strategy="collect")
-    b = candidate_pairs(bands, "doc_id", strategy="shuffle")
+    force_path("collect")
+    a = candidate_pairs(bands, "doc_id")
+    force_path("shuffle")
+    b = candidate_pairs(bands, "doc_id")
     key = lambda df: sorted(map(tuple, df[["id_a", "id_b"]].to_numpy()))
     assert key(a) == key(b)
     assert len(a) > 0  # planted near-dups must produce candidates
 
 
-def test_verify_pairs_collect_equals_shuffle(ray_session):
+def test_verify_pairs_collect_equals_shuffle(ray_session, force_path):
     """The driver-dict and bucketed-join Jaccard verification paths must
     produce identical verified pair sets and identical final clusters."""
     import ray.data as rd
@@ -50,23 +52,22 @@ def test_verify_pairs_collect_equals_shuffle(ray_session):
     df = _docs_df()
     ds = rd.from_pandas(df).repartition(8)
     bands = minhash_bands(ds, "doc_id", "text").materialize()
-    pairs = candidate_pairs(bands, "doc_id", strategy="collect")
+    pairs = candidate_pairs(bands, "doc_id")
     assert len(pairs) > 0
-    a = verify_pairs(ds, pairs, "doc_id", "text", 0.7, strategy="collect")
-    b = verify_pairs(ds, pairs, "doc_id", "text", 0.7, strategy="shuffle")
     c = verify_pairs(ds, pairs, "doc_id", "text", 0.7, strategy="broadcast")
-    if not isinstance(c, type(a)):
-        c = c.to_pandas()
+    force_path("collect")
+    a = verify_pairs(ds, pairs, "doc_id", "text", 0.7)
+    d1 = minhash_dedup(ds, "doc_id", "text", threshold=0.7)
+    force_path("shuffle")
+    b = verify_pairs(ds, pairs, "doc_id", "text", 0.7)
+    d2 = minhash_dedup(ds, "doc_id", "text", threshold=0.7)
     key = lambda d: sorted(map(tuple, d[["id_a", "id_b"]].to_numpy()))
     assert key(a) == key(b) == key(c)
     assert 0 < len(a) < len(pairs)  # threshold must actually prune
-
-    d1 = minhash_dedup(ds, "doc_id", "text", threshold=0.7, verify_strategy="collect")
-    d2 = minhash_dedup(ds, "doc_id", "text", threshold=0.7, verify_strategy="shuffle")
     assert sorted(map(tuple, d1.to_numpy())) == sorted(map(tuple, d2.to_numpy()))
 
 
-def test_minhash_dataset_route_equals_pandas(ray_session):
+def test_minhash_dataset_route_equals_pandas(ray_session, force_path):
     """output='dataset' (pairs, verification, and components all stay Ray
     Datasets — the driver holds only the id prefilter and change counts)
     must equal the pandas route end-to-end, and each intermediate stage
@@ -80,12 +81,13 @@ def test_minhash_dataset_route_equals_pandas(ray_session):
     df = _docs_df()
     ds = rd.from_pandas(df).repartition(8)
     bands = minhash_bands(ds, "doc_id", "text").materialize()
-    pc = candidate_pairs(bands, "doc_id", strategy="collect")
+    force_path("collect")
+    pc = candidate_pairs(bands, "doc_id")
     pdds = candidate_pairs(bands, "doc_id", strategy="shuffle", as_dataset=True)
     key = lambda d: sorted(map(tuple, d[["id_a", "id_b"]].to_numpy()))
     assert key(pc) == key(pdds.to_pandas())
 
-    va = verify_pairs(ds, pc, "doc_id", "text", 0.7, strategy="collect")
+    va = verify_pairs(ds, pc, "doc_id", "text", 0.7)
     vb = verify_pairs(ds, candidate_pairs(bands, "doc_id", strategy="shuffle",
                                           as_dataset=True),
                       "doc_id", "text", 0.7).to_pandas()
@@ -98,7 +100,7 @@ def test_minhash_dataset_route_equals_pandas(ray_session):
         sorted(map(tuple, d2[["doc_id", "cluster"]].to_numpy()))
 
 
-def test_cluster_strings_collect_equals_shuffle(ray_session):
+def test_cluster_strings_collect_equals_shuffle(ray_session, force_path):
     """Distributed fingerprint clustering (with_row_index partials +
     bucketed merge) must equal the in-memory reference path exactly —
     including first-seen tie-breaks and the block-size cap."""
@@ -118,10 +120,12 @@ def test_cluster_strings_collect_equals_shuffle(ray_session):
             for _ in range(3000)]
     df = pd.DataFrame({"v": vals})
     for cap in (1000, 2):
+        force_path("collect")
         a = cluster_strings(rd.from_pandas(df).repartition(6), "v",
-                            block_size_threshold=cap, strategy="collect")
+                            block_size_threshold=cap)
+        force_path("shuffle")
         b = cluster_strings(rd.from_pandas(df).repartition(6), "v",
-                            block_size_threshold=cap, strategy="shuffle")
+                            block_size_threshold=cap)
         pd.testing.assert_frame_equal(a, b)
 
 
@@ -235,7 +239,7 @@ def test_blocked_pairs_matches_bruteforce(ray_session):
         assert got == sorted(exp), matcher
 
 
-def test_simhash_dataset_route_equals_pandas(ray_session):
+def test_simhash_dataset_route_equals_pandas(ray_session, force_path):
     """output='dataset' for the 64-bit-signature family (hamming_candidates
     bucketed cross-block pair dedup + distributed components) must equal
     the collected pandas route end-to-end — same pairs, same clusters."""
@@ -256,23 +260,17 @@ def test_simhash_dataset_route_equals_pandas(ray_session):
     assert key(pa) == key(pb)
     assert len(pa) > 0  # planted near-dups must pair up
 
-    # force the pandas route's measured-size gate onto the shuffle branch
-    import data_quality_ray.dedup.simhash as sh
-
-    orig = sh.HAMMING_COLLECT_MAX_PAIRS
-    sh.HAMMING_COLLECT_MAX_PAIRS = 1
-    try:
-        pc = hamming_candidates(sig, "doc_id", "__sig", hamming_threshold=8,
-                                n_blocks=16)
-    finally:
-        sh.HAMMING_COLLECT_MAX_PAIRS = orig
-    assert key(pa) == key(pc)
-
     d1 = simhash_dedup(ds, "doc_id", "text", hamming_threshold=8, n_blocks=16)
     d2 = simhash_dedup(ds, "doc_id", "text", hamming_threshold=8, n_blocks=16,
                        output="dataset").to_pandas()
     assert sorted(map(tuple, d1.to_numpy())) == \
         sorted(map(tuple, d2[["doc_id", "cluster"]].to_numpy()))
+
+    # the pandas route's size gates on their shuffle branches
+    force_path("shuffle")
+    pc = hamming_candidates(sig, "doc_id", "__sig", hamming_threshold=8,
+                            n_blocks=16)
+    assert key(pa) == key(pc)
     assert len(d1) > 0
 
 
@@ -333,9 +331,9 @@ def test_semantic_dedup_dataset_route_equals_pandas(ray_session):
     assert out["keep"].all() and (out["sem_cluster"] == out["vec_id"]).all()
 
 
-def test_neardup_blocked_dataset_route_equals_pandas(ray_session):
+def test_neardup_blocked_dataset_route_equals_pandas(ray_session, force_path):
     """neardup_pairs_blocked: the gated distributed cross-block pair
-    dedup (output='dataset' / above NEARDUP_COLLECT_MAX_PAIRS) must equal
+    dedup (output='dataset' / above the collect_rows gate) must equal
     the collected route."""
     import ray.data as rd
 
@@ -357,13 +355,8 @@ def test_neardup_blocked_dataset_route_equals_pandas(ray_session):
     key = lambda d: sorted(map(tuple, d[["id_a", "id_b", "cos"]].to_numpy()))
     assert key(a) == key(b)
     assert len(a) > 0
-    # force the shuffle branch of the collect gate
-    orig = emb.NEARDUP_COLLECT_MAX_PAIRS
-    emb.NEARDUP_COLLECT_MAX_PAIRS = 1
-    try:
-        c = emb.neardup_pairs_blocked(ds, "id", "vec", "key", threshold=0.9999)
-    finally:
-        emb.NEARDUP_COLLECT_MAX_PAIRS = orig
+    force_path("shuffle")
+    c = emb.neardup_pairs_blocked(ds, "id", "vec", "key", threshold=0.9999)
     assert key(a) == key(c)
 
 
@@ -706,20 +699,18 @@ def test_multimodal_dedup_union_connectivity(ray_session):
     assert (out["keep"] == (out["cluster"] == out["image_id"])).all()
 
 
-def test_multimodal_dedup_scale_path_parity(ray_session, monkeypatch):
+def test_multimodal_dedup_scale_path_parity(ray_session, force_path):
     """Forced distributed components + hash_join label route must equal
     the union-find + broadcast route row for row."""
     import ray.data as rd
 
-    from data_quality_ray.dedup import minhash, multimodal
     from data_quality_ray.dedup.multimodal import multimodal_dedup
 
     df = _mm_fixture()
     ds = rd.from_pandas(df).repartition(4)
     want = multimodal_dedup(ds, "image_id", "phash", "caption")
 
-    monkeypatch.setattr(minhash, "UNION_FIND_MAX_PAIRS", 0)
-    monkeypatch.setattr(multimodal, "LABEL_BROADCAST_MAX_ROWS", 0)
+    force_path("shuffle")
     got = multimodal_dedup(ds, "image_id", "phash", "caption")
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), want.reset_index(drop=True),

@@ -39,12 +39,10 @@ def test_driver_path(ray_session, df):
     pd.testing.assert_frame_equal(got, _truth(df), check_dtype=False)
 
 
-def test_shuffle_join_path(ray_session, df, monkeypatch):
+def test_shuffle_join_path(ray_session, df, force_path):
     import ray.data as rd
 
-    from data_quality_ray.profiling import groupagg
-
-    monkeypatch.setattr(groupagg, "AUTO_COLLECT_MAX_PARTIAL_ROWS", 1)
+    force_path("shuffle")
     ds = rd.from_pandas(df).repartition(6)
     got = keep_best_by(ds, "k", "s", "i")
     if not isinstance(got, pd.DataFrame):

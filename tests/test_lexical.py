@@ -38,12 +38,10 @@ def test_ttr_empty_and_null_text(ray_session):
     assert out["g"].tolist() == ["a"]
 
 
-def test_ttr_shuffle_path_equals_driver_path(ray_session, monkeypatch):
-    """Forced shuffle (the gate at 0): the per-group totals come from a
-    second distributed fold, not a driver collect of the vocabulary, and
-    equal the driver merge exactly."""
-    from data_quality_ray.profiling import groupagg
-
+def test_ttr_shuffle_path_equals_driver_path(ray_session, force_path):
+    """Forced shuffle: the per-group totals come from a second
+    distributed fold, not a driver collect of the vocabulary, and equal
+    the driver merge exactly."""
     rng = np.random.default_rng(3)
     words = np.array(["w%d" % i for i in range(40)], dtype=object)
     df = pd.DataFrame({
@@ -51,7 +49,7 @@ def test_ttr_shuffle_path_equals_driver_path(ray_session, monkeypatch):
         "t": [" ".join(rng.choice(words, rng.integers(0, 9))) for _ in range(200)],
     })
     driver = ttr_by_group(_ds(df, 4), "g", "t")
-    monkeypatch.setattr(groupagg, "AUTO_COLLECT_MAX_PARTIAL_ROWS", 0)
+    force_path("shuffle")
     shuffled = ttr_by_group(_ds(df, 4), "g", "t")
     assert len(driver) == 3
     pd.testing.assert_frame_equal(shuffled, driver)

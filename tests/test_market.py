@@ -44,12 +44,10 @@ def test_matches_bruteforce(ray_session, basket_df):
     pd.testing.assert_frame_equal(got, _truth(basket_df), check_dtype=False)
 
 
-def test_dataset_merge_path_parity(ray_session, basket_df, monkeypatch):
+def test_dataset_merge_path_parity(ray_session, basket_df, force_path):
     import ray.data as rd
 
-    from data_quality_ray.profiling import groupagg
-
-    monkeypatch.setattr(groupagg, "AUTO_COLLECT_MAX_PARTIAL_ROWS", 1)
+    force_path("shuffle")
     ds = rd.from_pandas(basket_df).repartition(5)
     got = copurchase_lift(ds, "g", "it", min_support=2, k=50, n_buckets=8)
     pd.testing.assert_frame_equal(got, _truth(basket_df), check_dtype=False)

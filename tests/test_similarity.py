@@ -165,7 +165,7 @@ def test_bm25_topk_matches_brute_force(ray_session):
     assert 5 not in got["doc_id"].to_numpy()            # empty doc never ranked
 
 
-def test_tfidf_collect_equals_shuffle(ray_session):
+def test_tfidf_collect_equals_shuffle(ray_session, force_path):
     """The broadcast-vocabulary path and the unbounded hash-join path
     must produce identical top-k keyword tables (the repo's gated
     scale-path parity convention)."""
@@ -181,9 +181,10 @@ def test_tfidf_collect_equals_shuffle(ray_session):
                  for _ in range(150)],
     })
 
-    def run(strategy):
+    def run(path):
+        force_path(path)
         out = tfidf_topk(rd.from_pandas(df_in).repartition(4), "doc_id",
-                         "text", k=4, strategy=strategy).to_pandas()
+                         "text", k=4).to_pandas()
         return out.sort_values(["doc_id", "rank"]).reset_index(drop=True) \
             .astype({"doc_id": "int64", "rank": "int64"})
 

@@ -28,7 +28,7 @@ def _ref(df, n):
         .sort_values("doc_id").reset_index(drop=True)
 
 
-def test_substring_dedup_both_paths(ray_session):
+def test_substring_dedup_both_paths(ray_session, force_path):
     """Both strategies equal the string-counting reference on a corpus
     with planted cross-doc spans, a within-doc repeat, short docs (< n
     tokens), and an empty doc."""
@@ -53,9 +53,10 @@ def test_substring_dedup_both_paths(ray_session):
     assert ref["n_removed"].sum() > 0                    # planted spans found
     assert ref.loc[12, "n_removed"] >= 2 * 5             # both inner copies cut
 
-    for strat in ("collect", "shuffle"):
+    for path in ("collect", "shuffle"):
+        force_path(path)
         ds = rd.from_pandas(df).repartition(4)
-        got = substring_dedup(ds, "doc_id", "text", n=n, strategy=strat) \
+        got = substring_dedup(ds, "doc_id", "text", n=n) \
             .to_pandas().sort_values("doc_id").reset_index(drop=True) \
             .astype({"doc_id": "int64", "n_tokens": "int64",
                      "n_removed": "int64"})

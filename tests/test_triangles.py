@@ -89,7 +89,7 @@ def test_link_prediction_vs_brute(ray_session):
     assert got == want
 
 
-def test_graph_collect_shuffle_parity(ray_session):
+def test_graph_collect_shuffle_parity(ray_session, force_path):
     import ray.data as rd
 
     from data_quality_ray.functions.graph import link_prediction, triangle_counts
@@ -101,20 +101,22 @@ def test_graph_collect_shuffle_parity(ray_session):
                          columns=["u", "v"]).drop_duplicates().astype("int64")
     ds = rd.from_pandas(edges).repartition(4)
 
-    tc = triangle_counts(ds, strategy="collect").to_pandas()
-    ts = triangle_counts(ds, strategy="shuffle").to_pandas()
+    force_path("collect")
+    tc = triangle_counts(ds).to_pandas()
+    lc = link_prediction(ds).to_pandas()
+    force_path("shuffle")
+    ts = triangle_counts(ds).to_pandas()
+    ls = link_prediction(ds).to_pandas()
     assert tc.sort_values("id").reset_index(drop=True).equals(
         ts.sort_values("id").reset_index(drop=True).astype({"id": "int64", "tri": "int64"}))
 
-    lc = link_prediction(ds, strategy="collect").to_pandas()
-    ls = link_prediction(ds, strategy="shuffle").to_pandas()
     key = ["id_a", "id_b"]
     assert lc.sort_values(key).reset_index(drop=True).equals(
         ls[["id_a", "id_b", "cn", "aa_ppm"]].astype("int64")
         .sort_values(key).reset_index(drop=True))
 
 
-def test_kcore_peeling_and_parity(ray_session):
+def test_kcore_peeling_and_parity(ray_session, force_path):
     import ray.data as rd
 
     from data_quality_ray.functions.graph import kcore
@@ -124,7 +126,8 @@ def test_kcore_peeling_and_parity(ray_session):
     tail = [(3, 4), (4, 5), (5, 6)]
     edges = pd.DataFrame(clique + tail, columns=["u", "v"]).astype("int64")
     ds = rd.from_pandas(edges).repartition(3)
-    out = kcore(ds, k=3, rounds=10, strategy="collect").to_pandas()
+    force_path("collect")
+    out = kcore(ds, k=3, rounds=10).to_pandas()
     assert sorted(out["id"]) == [0, 1, 2, 3]
     assert (out["deg"] == 3).all()
     # collect == shuffle parity on a random graph
@@ -136,8 +139,9 @@ def test_kcore_peeling_and_parity(ray_session):
     # (12 rounds x two 64-bucket joins is minutes of pure exchange
     # latency at 4 CPUs); parity only needs both paths to run the SAME
     # round count, not the production one
-    c = kcore(d2, k=3, rounds=3, strategy="collect").to_pandas()
-    s = kcore(d2, k=3, rounds=3, n_buckets=8, strategy="shuffle").to_pandas()
+    c = kcore(d2, k=3, rounds=3).to_pandas()
+    force_path("shuffle")
+    s = kcore(d2, k=3, rounds=3, n_buckets=8).to_pandas()
     c = c.sort_values("id").reset_index(drop=True)
     s = s.astype("int64").sort_values("id").reset_index(drop=True)
     assert c.equals(s[["id", "deg"]])
