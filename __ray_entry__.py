@@ -53,7 +53,7 @@ def quality_filter_images(sf_dir: str):
     from data_quality_ray.pipelines.quality_filter import filtered
 
     ds = rd.read_parquet(_image_fixture(sf_dir))
-    return filtered(ds, concurrency=4, batch_size=1024).select_columns(
+    return filtered(ds, concurrency=(1, 4), batch_size=1024).select_columns(
         ["image_id", "verdict", "first_rule", "caption", "phash"]
     )
 
@@ -117,7 +117,7 @@ def caption_alignment_images(sf_dir: str):
 
     ds = rd.read_parquet(_image_fixture(sf_dir),
                          columns=["image_id", "caption", "phash"])
-    out = align_captions(ds, threshold=0.0, concurrency=4) \
+    out = align_captions(ds, threshold=0.0, concurrency=(1, 4)) \
         .select_columns(["image_id", "alignment", "is_aligned"]).to_pandas()
     out["alignment"] = out["alignment"].round(6)
     return out.sort_values("image_id").reset_index(drop=True)
@@ -134,7 +134,7 @@ def image_features(sf_dir: str):
     from data_quality_ray.stages.image_ops import extract_image_features
 
     ds = rd.read_parquet(_image_fixture(sf_dir))
-    return extract_image_features(ds, concurrency=4).select_columns(
+    return extract_image_features(ds, concurrency=(1, 4)).select_columns(
         ["image_id", "lum_mean", "lum_std", "phash_recomputed"]
     )
 
@@ -150,7 +150,7 @@ def image_quality_extended(sf_dir: str):
     from data_quality_ray.stages.image_ops import extract_image_features, geometry_flags
 
     ds = rd.read_parquet(_image_fixture(sf_dir))
-    feats = extract_image_features(ds, concurrency=4)
+    feats = extract_image_features(ds, concurrency=(1, 4))
     return geometry_flags(feats).select_columns(
         ["image_id", "sharpness", "entropy", "too_small", "bad_aspect"]
     )
@@ -169,7 +169,7 @@ def best_of_cluster_images(sf_dir: str):
     from data_quality_ray.stages.image_ops import extract_image_features
 
     ds = rd.read_parquet(_image_fixture(sf_dir))
-    feats = extract_image_features(ds, concurrency=4)
+    feats = extract_image_features(ds, concurrency=(1, 4))
     return keep_best_by(feats, "phash", "sharpness", "image_id")
 
 
@@ -1160,7 +1160,7 @@ def image_embed_neardup(sf_dir: str):
     from data_quality_ray.stages.image_ops import extract_image_features
 
     ds = rd.read_parquet(_image_fixture(sf_dir))
-    feats = extract_image_features(ds, concurrency=4)
+    feats = extract_image_features(ds, concurrency=(1, 4))
 
     def pack_vec(b):
         b = b.copy()

@@ -24,7 +24,7 @@ import pandas as pd
 
 from ..functions.exchange import bucket_exchange
 from ..functions.gate import fits
-from ..functions.matchers import match_score, soundex
+from ..functions.matchers import soundex
 from ..functions.phonetics import cologne_phonetic, double_metaphone, metaphone, soundex_fr
 from ..functions.text import fingerprint_key_one
 

@@ -55,7 +55,6 @@ def multimodal_dedup(ds, id_col: str, sig_col: str, text_col: str,
     documented assumption. ``output="dataset"`` returns the streaming
     Dataset; ``"pandas"`` collects (query/test contract)."""
     import ray
-    import ray.data as rd
 
     from ..functions.broadcast import cached_get
     from .minhash import distributed_components, union_find_components

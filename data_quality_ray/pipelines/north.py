@@ -35,6 +35,7 @@ from __future__ import annotations
 import glob
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -42,13 +43,17 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..sources.io import read_parquet_sized
-from ..stages.image import decode, phash64, phash64_batch  # noqa: F401 (phash64: API surface)
+from ..stages.image import decode, phash64_batch
 from ..state.manifest import Manifest
 from .quality_filter import build_image_chain
 
 _PAYLOAD_WRITE_ARGS = dict(compression="none", use_dictionary=False)
 LOSSY_FORMATS = {"jpeg", "jpg", "webp"}
 PHASH_HAMMING_MAX_LOSSY = 4  # measured max 1 for the stand-in codec
+# tally rows under this fragment id carry per-batch stage nanoseconds
+# ("t:<stage>"); no manifest record reads it
+TIMING_FRAGMENT = -1
+PHASE1_STAGES = ("rules", "decode", "phash", "write")
 
 
 def _fragment_files(input_dir: str) -> list[str]:
@@ -69,13 +74,15 @@ class Phase1Stage:
         self.filtered_dir = filtered_dir
         self.validate_images = validate_images
 
-    def _validate(self, batch: pa.Table, verdict: np.ndarray, first_rule: np.ndarray) -> None:
+    def _validate(self, batch: pa.Table, verdict: np.ndarray, first_rule: np.ndarray,
+                  ns: dict[str, int]) -> None:
         blobs = batch["bytes"].to_numpy(zero_copy_only=False)
         fmts = batch["fmt"].to_numpy(zero_copy_only=False)
         ws = batch["w"].to_numpy()
         hs = batch["h"].to_numpy()
         phs = batch["phash"].to_numpy()
         # decode per survivor (shapes vary); phash in ONE vectorized pass
+        t0 = time.perf_counter_ns()
         alive = np.flatnonzero(verdict != "DROP")
         good_idx, good_px = [], []
         for i in alive:
@@ -89,11 +96,14 @@ class Phase1Stage:
             else:
                 good_idx.append(i)
                 good_px.append(px)
+        t1 = time.perf_counter_ns()
+        ns["decode"] += t1 - t0
         if not good_idx:
             return
         from ..dedup.simhash import hamming64_pairs
 
         recomputed = phash64_batch(good_px).view(np.uint64)
+        ns["phash"] += time.perf_counter_ns() - t1
         stored = phs[np.array(good_idx)].astype(np.int64).view(np.uint64)
         dist = hamming64_pairs(recomputed, stored)
         lossy = np.isin(fmts[np.array(good_idx)], list(LOSSY_FORMATS))
@@ -111,10 +121,13 @@ class Phase1Stage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return pa.table(self._EMPTY)
+        ns = dict.fromkeys(PHASE1_STAGES, 0)
+        t0 = time.perf_counter_ns()
         res = self.engine.apply(batch["caption"].to_numpy(zero_copy_only=False))
+        ns["rules"] = time.perf_counter_ns() - t0
         verdict, first_rule = res.verdict, res.first_rule
         if self.validate_images:
-            self._validate(batch, verdict, first_rule)
+            self._validate(batch, verdict, first_rule, ns)
         out = batch.set_column(
             batch.schema.get_field_index("caption"), "caption",
             pa.array(res.values, type=pa.string()),
@@ -124,10 +137,11 @@ class Phase1Stage:
 
         frag_col = out["fragment"].to_numpy()
         ids = out["image_id"].to_numpy(zero_copy_only=False)
-        frags, keys, ns = [], [], []
+        frags, keys, counts = [], [], []
         for frag in np.unique(frag_col):
             mask = frag_col == frag
             sub = out.filter(pa.array(mask))
+            t0 = time.perf_counter_ns()
             d = _frag_dir(self.filtered_dir, int(frag))
             os.makedirs(d, exist_ok=True)
             # deterministic name from the id range → task retries overwrite
@@ -137,11 +151,16 @@ class Phase1Stage:
             tmp = os.path.join(d, f".tmp-{os.getpid()}-{fname}")
             pq.write_table(sub, tmp, **_PAYLOAD_WRITE_ARGS)
             os.replace(tmp, os.path.join(d, fname))
+            ns["write"] += time.perf_counter_ns() - t0
             for col, prefix in (("verdict", "verdict:"), ("first_rule", "rule:")):
                 for item in pc.value_counts(sub[col]):
                     frags.append(int(frag))
                     keys.append(prefix + item["values"].as_py())
-                    ns.append(item["counts"].as_py())
+                    counts.append(item["counts"].as_py())
+        for stage, t in ns.items():
+            frags.append(TIMING_FRAGMENT)
+            keys.append("t:" + stage)
+            counts.append(t)
         n_tally = len(frags)
         # dedup winner partials (min image_id per phash among survivors in
         # this batch) ride the same return table — phase 2 needs no extra
@@ -164,7 +183,7 @@ class Phase1Stage:
         return pa.table({
             "fragment": pa.array(frags + [None] * len(win_ph), type=pa.int64()),
             "key": pa.array(keys + [None] * len(win_ph), type=pa.string()),
-            "n": pa.array(ns + [None] * len(win_ph), type=pa.int64()),
+            "n": pa.array(counts + [None] * len(win_ph), type=pa.int64()),
             "phash": pa.array(pad + list(win_ph), type=pa.int64()),
             "win_id": pa.array(pad + list(win_id), type=pa.string()),
         })
@@ -306,6 +325,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     os.makedirs(filtered_dir, exist_ok=True)
 
     win_parts: list[tuple[np.ndarray, np.ndarray]] = []  # winner partials
+    stage_ns = dict.fromkeys(PHASE1_STAGES, 0)
     for w in range(0, len(pending), wave_files):
         wave = pending[w : w + wave_files]
         for frag_id, _ in wave:  # clear stale partial output (uncommitted)
@@ -343,6 +363,8 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             if len(wb):  # winner partials stay numpy; merged vectorized below
                 win_parts.append((wb["phash"].to_numpy(),
                                   wb["win_id"].to_numpy(zero_copy_only=False)))
+        for stage in PHASE1_STAGES:
+            stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
         src = dict(wave)
         for frag_id, _ in wave:
             agg = {k: v for (f, k), v in tally.items() if f == frag_id}
@@ -359,6 +381,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             })
 
     totals = manifest.totals()
+    totals["phase1_stage_s"] = {k: v / 1e9 for k, v in stage_ns.items()}
     if skipped_inputs:
         totals["skipped_inputs"] = len(skipped_inputs)
     if dedup and dedup_strategy == "shuffle":

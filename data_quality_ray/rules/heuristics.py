@@ -23,6 +23,7 @@ bit-for-bit equivalent.
 from __future__ import annotations
 
 import re
+import string
 
 import numpy as np
 
@@ -34,8 +35,8 @@ EN_STOPWORDS = frozenset(
 )
 
 _JUNK_RE = re.compile(r"^[0-9０-９\s.,/:+%-]+$")
-_SYMBOL_ASCII_RE = re.compile(r"[^A-Za-z0-9\s]")
-_NONSPACE_RE = re.compile(r"\S")
+_JUNK_DIGIT_RE = re.compile(r"[0-9０-９]")  # the only digits _JUNK_RE admits
+_DEL_ASCII_ALNUM = str.maketrans("", "", string.ascii_letters + string.digits)
 _CHAR_RUN_RE = re.compile(r"(.)\1{4,}")
 _WS_RE = re.compile(r"\s+")
 
@@ -63,23 +64,24 @@ def junk_numeric_mask(values) -> np.ndarray:
     """Caption is only digits/punctuation (a number, date or id — nothing to
     train on). Contains at least one digit and no letters."""
     return np.array(
-        [v is not None and any(c.isdigit() for c in v) and bool(_JUNK_RE.match(v)) for v in _np(values)],
+        [v is not None and _JUNK_RE.match(v) is not None and _JUNK_DIGIT_RE.search(v) is not None
+         for v in _np(values)],
         dtype=bool,
     )
 
 
 def symbol_ratio_mask(values, max_ratio: float = 0.3) -> np.ndarray:
     """Ratio of ASCII symbol chars (not alnum, not whitespace) over
-    non-whitespace chars exceeds ``max_ratio``."""
+    non-whitespace chars exceeds ``max_ratio``. ``str.split()`` drops the
+    same whitespace as ``re``'s ``\\s`` (``str.isspace``)."""
     out = np.zeros(len(values), dtype=bool)
     for i, v in enumerate(_np(values)):
         if v is None:
             continue
-        nonspace = len(_NONSPACE_RE.findall(v))
-        if nonspace == 0:
+        ns = "".join(v.split())
+        if not ns:
             continue
-        syms = len(_SYMBOL_ASCII_RE.findall(v))
-        out[i] = syms / nonspace > max_ratio
+        out[i] = len(ns.translate(_DEL_ASCII_ALNUM)) / len(ns) > max_ratio
     return out
 
 

@@ -77,15 +77,76 @@ def test_frame_sampling(ray_session):
     assert tbl["frames"][i2].as_py() is None
 
 
+def _gray(values: np.ndarray, cell: int) -> np.ndarray:
+    """8×8 grid of gray levels → an RGB image of ``cell``×``cell`` blocks."""
+    g = np.kron(values, np.ones((cell, cell), dtype=values.dtype)).astype(np.uint8)
+    return np.repeat(g[..., None], 3, axis=2)
+
+
 def test_phash64_batch_bit_identical():
+    import warnings
+
+    from data_quality_ray.sources.fixtures import generate_f1_shard
     from data_quality_ray.stages.image import phash64, phash64_batch
 
     rng = np.random.RandomState(2)
     imgs = [rng.randint(0, 256, size=(s, s, 3), dtype=np.uint8)
             for s in (32, 48, 32, 33, 17, 48)]  # mixed + non-multiple-of-8
+    # ties: every block of a constant image equals the overall mean, and
+    # the last bit of the gray level decides which way the rounded means
+    # fall, so one image per channel sum 0..765 pins the gray conversion
+    for total in range(766):
+        r = min(total, 255)
+        g = min(total - r, 255)
+        imgs.append(np.full((32, 32, 3), (r, g, total - r - g), dtype=np.uint8))
+    imgs.append(np.full((40, 24, 3), (5, 0, 0), dtype=np.uint8))
+    # one block mean exactly equals the overall mean: levels m-1 / m / m+1
+    levels = np.array([99] * 31 + [100] * 2 + [101] * 31)
+    for perm_seed in (0, 1):
+        grid = np.random.RandomState(perm_seed).permutation(levels).reshape(8, 8)
+        assert grid.mean() == 100 and (grid == 100).sum() == 2
+        imgs += [_gray(grid, 4), _gray(grid, 6)]
     batch = phash64_batch(imgs)
     for px, v in zip(imgs, batch):
         assert phash64(px) == int(v)
+    # below 8 pixels on a side there is no 8×8 grid (empty block means)
+    small = [rng.randint(0, 256, size=(h, w, 3), dtype=np.uint8)
+             for h, w in ((1, 1), (5, 5), (7, 12), (12, 7), (5, 5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = phash64_batch(small)
+        assert [phash64(px) for px in small] == batch.tolist()
+    # the PNG rows of a generated F1 shard hash to the phash the generator
+    # stored (lossless codec → exact pixels)
+    t = generate_f1_shard(0, 512, 7)
+    png = np.flatnonzero(t["fmt"].to_numpy(zero_copy_only=False) == "png")
+    blobs = t["bytes"].to_numpy(zero_copy_only=False)
+    assert len(png) > 100
+    got = phash64_batch([decode(blobs[i], "png") for i in png])
+    assert got.tolist() == t["phash"].to_numpy()[png].tolist()
+
+
+def test_decode_jpeg_dequantize_levels():
+    """The lookup-table dequantize equals the arithmetic formula
+    ``min(q * step + step // 2, 255)`` on every byte value: the 64 levels
+    the encoder emits, and the rest, which only corrupt payloads hold."""
+    import struct
+    import zlib
+
+    from data_quality_ray.stages.image import _JPEG_QUANT_STEP, decode_jpeg, encode_jpeg
+
+    def formula(q):
+        return np.minimum(q.astype(np.uint16) * _JPEG_QUANT_STEP + _JPEG_QUANT_STEP // 2,
+                          255).astype(np.uint8)
+
+    levels = np.arange(64, dtype=np.uint8)
+    px = np.repeat((levels * _JPEG_QUANT_STEP).reshape(8, 8)[..., None], 3, axis=2)
+    got = decode_jpeg(encode_jpeg(px))
+    assert got.dtype == np.uint8 and got.shape == (8, 8, 3)
+    assert np.array_equal(got, formula(px // _JPEG_QUANT_STEP))
+    q = np.arange(256, dtype=np.uint8).reshape(16, 16, 1).repeat(3, axis=2)
+    blob = b"FJPG" + struct.pack(">HH", 16, 16) + zlib.compress(q.tobytes())
+    assert np.array_equal(decode_jpeg(blob), formula(q))
 
 
 def test_sharpness_entropy_kernel():
@@ -130,3 +191,46 @@ def test_geometry_flags(ray_session):
     assert out.loc["c", "bad_aspect"]   # 5.0 aspect
     assert out.loc["d", "bad_aspect"]   # 0.33 aspect
     assert out.loc["c", "too_small"] and out.loc["d", "too_small"]
+
+
+_TWO_CPU_SCRIPT = """
+import signal
+import sys
+import ray
+
+def _timeout(signum, frame):  # a pool that never starts ends the run, Ray stopped
+    sys.exit("timed out")
+
+signal.signal(signal.SIGALRM, _timeout)
+signal.alarm({alarm})
+ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
+try:
+    import __ray_entry__ as E
+    E._image_fixture = lambda sf_dir: {f1!r}
+    for name in {names!r}:
+        out = getattr(E, name)("unused")
+        print(name, out.count() if hasattr(out, "count") and not hasattr(out, "shape")
+              else len(out), flush=True)
+finally:
+    ray.shutdown()
+"""
+
+
+@pytest.mark.slow
+def test_entry_actor_stages_run_on_two_cpus(f1_dir):
+    """The driver-contract image queries start their actor pools at one
+    actor, so they finish on a Ray session with fewer CPUs than the pool's
+    upper bound (a fixed pool of four one-CPU actors waits forever on 2)."""
+    import os
+    import subprocess
+    import sys
+
+    names = ("quality_filter_images", "caption_alignment_images", "image_features",
+             "image_quality_extended", "best_of_cluster_images", "image_embed_neardup")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWO_CPU_SCRIPT.format(alarm=240, f1=f1_dir, names=names)],
+        cwd=repo, capture_output=True, text=True, timeout=300,
+    )
+    done = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
+    assert proc.returncode == 0 and done == list(names), proc.stderr[-2000:]

@@ -73,6 +73,38 @@ def test_exact_resume_skips_completed(north_run, f1_dir):
     assert stats2["n_rows"] == stats["n_rows"]
     assert stats2["final_rows"] == stats["final_rows"]
     assert stats2["rule_hits"] == stats["rule_hits"]
+    assert set(stats2["phase1_stage_s"].values()) == {0.0}  # no phase-1 batch ran
+
+
+def test_phase1_stage_timings(north_run):
+    """A fresh run returns the in-batch stage times summed over batches."""
+    _, stats = north_run
+    from data_quality_ray.pipelines.north import PHASE1_STAGES
+
+    st = stats["phase1_stage_s"]
+    assert set(st) == set(PHASE1_STAGES)
+    assert all(0 < v < 60 for v in st.values())
+
+
+def test_phase1_stage_timing_rows(f1_dir, tmp_path):
+    """One ``Phase1Stage`` batch returns one ``t:<stage>`` row per stage under
+    ``TIMING_FRAGMENT``, beside the batch's verdict/rule tallies."""
+    import glob
+
+    import pyarrow as pa
+
+    from data_quality_ray.pipelines.north import PHASE1_STAGES, TIMING_FRAGMENT, Phase1Stage
+
+    t = pq.read_table(sorted(glob.glob(f1_dir + "/part-*.parquet"))[0])
+    t = t.append_column("fragment", pa.array([3] * len(t), type=pa.int32()))
+    res = Phase1Stage(str(tmp_path))(t)
+    rows = res.filter(res["key"].is_valid()).to_pylist()
+    timing = [r for r in rows if r["key"].startswith("t:")]
+    tallies = [r for r in rows if not r["key"].startswith("t:")]
+    assert sorted(r["key"] for r in timing) == sorted("t:" + s for s in PHASE1_STAGES)
+    assert all(r["fragment"] == TIMING_FRAGMENT and r["n"] > 0 for r in timing)
+    assert {r["fragment"] for r in tallies} == {3}
+    assert sum(r["n"] for r in tallies if r["key"].startswith("verdict:")) == len(t)
 
 
 def test_partial_resume_reprocesses_only_missing(north_run, f1_dir):

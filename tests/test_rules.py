@@ -1,5 +1,7 @@
 """Unit tests for the rule kernels and the short-circuit chain engine."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,49 @@ def test_junk_numeric():
 def test_symbol_ratio():
     vals = np.array(["the $$$ price of a ### deal !!!", "a calm dog resting"], dtype=object)
     assert H.symbol_ratio_mask(vals).tolist() == [True, False]
+
+
+_OLD_JUNK_RE = re.compile(r"^[0-9０-９\s.,/:+%-]+$")
+_OLD_SYMBOL_RE = re.compile(r"[^A-Za-z0-9\s]")
+_OLD_NONSPACE_RE = re.compile(r"\S")
+
+
+def _old_junk_numeric_mask(values):
+    return np.array([v is not None and any(c.isdigit() for c in v)
+                     and bool(_OLD_JUNK_RE.match(v)) for v in values], dtype=bool)
+
+
+def _old_symbol_ratio_mask(values, max_ratio=0.3):
+    out = np.zeros(len(values), dtype=bool)
+    for i, v in enumerate(values):
+        if v is None:
+            continue
+        nonspace = len(_OLD_NONSPACE_RE.findall(v))
+        if nonspace:
+            out[i] = len(_OLD_SYMBOL_RE.findall(v)) / nonspace > max_ratio
+    return out
+
+
+def test_junk_numeric_and_symbol_ratio_match_regex_definitions():
+    """The match-then-digit-search and split/translate kernels agree with
+    the regex definitions they replaced (kept above) on random strings
+    over digits of every kind, Unicode spaces, symbols and letters."""
+    alphabet = ("0123456789０１２３４５６７８９²³¹⁴٣६"  # ASCII, full-width, other digits
+                "  \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"  # spaces
+                ".,/:+%-$#!*_aZzé中ß")
+    rng = np.random.RandomState(11)
+    vals = [None, "", " ", "\x1c", "\x85", "\xa0", "\u3000", "１２３", "²³", "12\n", "12\x85"]
+    for _ in range(20000):
+        n = rng.randint(1, 12)
+        vals.append("".join(alphabet[j] for j in rng.randint(0, len(alphabet), n)))
+    vals = np.array(vals, dtype=object)
+    junk = H.junk_numeric_mask(vals)
+    assert junk.tolist() == _old_junk_numeric_mask(vals).tolist()
+    assert 200 < junk.sum() < len(vals) - 200
+    for r in (0.0, 0.3, 0.5):
+        sym = H.symbol_ratio_mask(vals, r)
+        assert sym.tolist() == _old_symbol_ratio_mask(vals, r).tolist()
+        assert 200 < sym.sum() < len(vals) - 200
 
 
 def test_repetition_and_char_run():
