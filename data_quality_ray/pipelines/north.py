@@ -1,15 +1,22 @@
 """The end-to-end north-star pipeline with lineage + exact resume.
 
-Phase 1 — ONE streaming job per wave (no re-reads):
+Phase 1 — ONE streaming job per wave (no re-reads), ONE fused operator
+(``ReadParquet->MapBatches(_RangeTagger)->MapBatches(_phase1_task)``,
+so payload bytes go from the read to the stage inside one task, never
+through the object store) whenever the wave has at least as many files
+as read blocks (2 × CPUs for small waves); Ray splits a file into
+several blocks otherwise, and does not fuse such a read:
     fused read over the wave's files
       → fragment tag (vectorized searchsorted over parquet-footer id
         ranges; per-file union fallback for unsorted inputs)
-      → Phase1Stage actor pool: caption rule chain (langid + perplexity +
-        heuristics + PII/toxicity scrub) + image validation (decode,
-        dims + phash verify; corrupt rows → DROP 'corrupt_image')
+      → Phase1Stage over the whole read block, in zero-copy
+        ``batch_size``-row slices: caption rule chain (langid +
+        perplexity + heuristics + PII/toxicity scrub) + image validation
+        (decode, dims + phash verify; corrupt rows → DROP
+        'corrupt_image')
       → writes its own per-fragment parquet files (idempotent
         deterministic names, tmp+rename atomic) as a side output
-      → RETURNS per-batch tally partials (tiny) — the job's only
+      → RETURNS per-block tally partials (tiny) — the job's only
         object-store output
     then per-fragment lineage records commit atomically to the manifest.
 
@@ -17,7 +24,10 @@ Phase 2 — phash dedup over committed survivors:
     winners = min(image_id) per phash, merged vectorized from the phase-1
               partials (resume-path fragments contribute via a pruned
               key-column read) and broadcast as sorted numpy arrays
-    final   = read(full) → searchsorted keep-winners filter → write
+    final   = plain Ray tasks, one per contiguous group of fragment
+              directories: read a fragment → searchsorted keep-winners
+              filter → stream into ``final/part-<first>-<last>.parquet``
+              (deterministic names, tmp+rename)
 
 Resume: fragments in the manifest are skipped; stale partial output of
 uncommitted fragments is deleted before reprocessing. ``wave_files``
@@ -42,7 +52,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..sources.io import read_parquet_sized
+from ..sources.io import cluster_cpus, parquet_bytes, read_parquet_sized, session_block_count
 from ..stages.image import decode, phash64_batch
 from ..state.manifest import Manifest
 from .quality_filter import build_image_chain
@@ -53,7 +63,12 @@ PHASH_HAMMING_MAX_LOSSY = 4  # measured max 1 for the stand-in codec
 # tally rows under this fragment id carry per-batch stage nanoseconds
 # ("t:<stage>"); no manifest record reads it
 TIMING_FRAGMENT = -1
-PHASE1_STAGES = ("rules", "decode", "phash", "write")
+PHASE1_STAGES = ("rules", "decode", "phash", "write", "tally")
+# driver-side wall-time ledger of one run (``totals["phase_s"]``), in run order
+RUN_PHASES = ("screen_setup", "inputs", "phase1", "manifest", "winners", "final",
+              "index_append", "ar_batches")
+# most rows one rule-chain/decode call sees (``run_quality_pipeline``'s default)
+BATCH_SIZE = 2048
 
 
 def _fragment_files(input_dir: str) -> list[str]:
@@ -65,14 +80,16 @@ def _frag_dir(filtered_dir: str, frag: int) -> str:
 
 
 class Phase1Stage:
-    """Actor stage: rule chain + image validation + in-stage partitioned
-    write. Returns tally partial rows; files are the side output."""
+    """Phase-1 stage over one read block: rule chain + image validation +
+    in-stage partitioned write, ``batch_size`` rows at a time. Returns
+    tally partial rows; files are the side output."""
 
     def __init__(self, filtered_dir: str, chain_builder=build_image_chain,
-                 validate_images: bool = True):
+                 validate_images: bool = True, batch_size: int = BATCH_SIZE):
         self.engine = chain_builder()
         self.filtered_dir = filtered_dir
         self.validate_images = validate_images
+        self.batch_size = batch_size
 
     def _validate(self, batch: pa.Table, verdict: np.ndarray, first_rule: np.ndarray,
                   ns: dict[str, int]) -> None:
@@ -112,22 +129,26 @@ class Phase1Stage:
             verdict[i] = "DROP"
             first_rule[i] = "corrupt_image"
 
-    _EMPTY = {"fragment": pa.array([], type=pa.int64()),
-              "key": pa.array([], type=pa.string()),
-              "n": pa.array([], type=pa.int64()),
-              "phash": pa.array([], type=pa.int64()),
-              "win_id": pa.array([], type=pa.string())}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(self._EMPTY)
+    def __call__(self, block: pa.Table) -> pa.Table:
+        """The whole block in zero-copy ``batch_size``-row slices, so one
+        rule-chain/decode call (and its decoded pixels) never sees more
+        rows than that; one ``t:<stage>`` row per stage carries the
+        nanoseconds summed over the slices."""
         ns = dict.fromkeys(PHASE1_STAGES, 0)
+        parts = [self._slice(block.slice(s, self.batch_size), ns)
+                 for s in range(0, len(block), self.batch_size)]
+        parts.append(_tally_table([TIMING_FRAGMENT] * len(ns), ["t:" + s for s in ns],
+                                  list(ns.values())))
+        return pa.concat_tables(parts)
+
+    def _slice(self, batch: pa.Table, ns: dict[str, int]) -> pa.Table:
         t0 = time.perf_counter_ns()
         res = self.engine.apply(batch["caption"].to_numpy(zero_copy_only=False))
-        ns["rules"] = time.perf_counter_ns() - t0
+        ns["rules"] += time.perf_counter_ns() - t0
         verdict, first_rule = res.verdict, res.first_rule
         if self.validate_images:
             self._validate(batch, verdict, first_rule, ns)
+        t0, write_ns = time.perf_counter_ns(), ns["write"]
         out = batch.set_column(
             batch.schema.get_field_index("caption"), "caption",
             pa.array(res.values, type=pa.string()),
@@ -141,7 +162,7 @@ class Phase1Stage:
         for frag in np.unique(frag_col):
             mask = frag_col == frag
             sub = out.filter(pa.array(mask))
-            t0 = time.perf_counter_ns()
+            tw = time.perf_counter_ns()
             d = _frag_dir(self.filtered_dir, int(frag))
             os.makedirs(d, exist_ok=True)
             # deterministic name from the id range → task retries overwrite
@@ -151,19 +172,14 @@ class Phase1Stage:
             tmp = os.path.join(d, f".tmp-{os.getpid()}-{fname}")
             pq.write_table(sub, tmp, **_PAYLOAD_WRITE_ARGS)
             os.replace(tmp, os.path.join(d, fname))
-            ns["write"] += time.perf_counter_ns() - t0
+            ns["write"] += time.perf_counter_ns() - tw
             for col, prefix in (("verdict", "verdict:"), ("first_rule", "rule:")):
                 for item in pc.value_counts(sub[col]):
                     frags.append(int(frag))
                     keys.append(prefix + item["values"].as_py())
                     counts.append(item["counts"].as_py())
-        for stage, t in ns.items():
-            frags.append(TIMING_FRAGMENT)
-            keys.append("t:" + stage)
-            counts.append(t)
-        n_tally = len(frags)
         # dedup winner partials (min image_id per phash among survivors in
-        # this batch) ride the same return table — phase 2 needs no extra
+        # this slice) ride the same return table — phase 2 needs no extra
         # scan of freshly-processed fragments
         alive = verdict != "DROP"
         ph = batch["phash"].to_numpy()[alive]
@@ -179,31 +195,42 @@ class Phase1Stage:
         else:
             win_ph = np.empty(0, dtype=np.int64)
             win_id = np.empty(0, dtype=object)
-        pad = [None] * n_tally
-        return pa.table({
-            "fragment": pa.array(frags + [None] * len(win_ph), type=pa.int64()),
-            "key": pa.array(keys + [None] * len(win_ph), type=pa.string()),
-            "n": pa.array(counts + [None] * len(win_ph), type=pa.int64()),
-            "phash": pa.array(pad + list(win_ph), type=pa.int64()),
-            "win_id": pa.array(pad + list(win_id), type=pa.string()),
-        })
+        out = _tally_table(frags, keys, counts, win_ph, win_id)
+        ns["tally"] += time.perf_counter_ns() - t0 - (ns["write"] - write_ns)
+        return out
+
+
+def _tally_table(frags: list, keys: list, counts: list,
+                 win_ph=(), win_id=()) -> pa.Table:
+    """The stage's return rows: (fragment, key, n) tallies, then
+    (phash, win_id) winner partials, each padded with nulls."""
+    pad, n_win = [None] * len(frags), len(win_ph)
+    return pa.table({
+        "fragment": pa.array(frags + [None] * n_win, type=pa.int64()),
+        "key": pa.array(keys + [None] * n_win, type=pa.string()),
+        "n": pa.array(counts + [None] * n_win, type=pa.int64()),
+        "phash": pa.array(pad + list(win_ph), type=pa.int64()),
+        "win_id": pa.array(pad + list(win_id), type=pa.string()),
+    })
 
 
 _STAGE_CACHE: dict = {}
 
 
-def _phase1_task(batch: pa.Table, filtered_dir: str, validate_images: bool) -> pa.Table:
+def _phase1_task(block: pa.Table, filtered_dir: str, validate_images: bool,
+                 batch_size: int) -> pa.Table:
     """Task-mode phase-1 body: the stage object (rule chain + models) is
     built once per WORKER PROCESS and cached at module level — Ray reuses
     worker processes across jobs, so task mode skips per-job actor-pool
     spawn entirely. Right when model setup is cheap (here: ~20 ms); for
     heavy models (real fastText / KenLM binaries) use stage_mode='actors'
     so setup amortizes per actor instead of per process."""
-    key = (filtered_dir, validate_images)
+    key = (filtered_dir, validate_images, batch_size)
     stage = _STAGE_CACHE.get(key)
     if stage is None:
-        stage = _STAGE_CACHE[key] = Phase1Stage(filtered_dir, validate_images=validate_images)
-    return stage(batch)
+        stage = _STAGE_CACHE[key] = Phase1Stage(filtered_dir, validate_images=validate_images,
+                                                batch_size=batch_size)
+    return stage(block)
 
 
 def _validate_fragment_files(files: list[str]) -> tuple[set[int], list[dict]]:
@@ -238,8 +265,8 @@ def _validate_fragment_files(files: list[str]) -> tuple[set[int], list[dict]]:
     return skip_idx, records
 
 
-def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple = 4,
-                         batch_size: int = 2048, wave_files: int = 64,
+def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple = (1, 4),
+                         batch_size: int = BATCH_SIZE, wave_files: int = 64,
                          dedup: bool = True, validate_images: bool = True,
                          stage_mode: str = "tasks",
                          dedup_strategy: str = "broadcast",
@@ -288,6 +315,17 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     scanned once, never copied); ``read_final`` output is row-identical
     to the rewrite path (parity-tested).
     """
+    phase_s = dict.fromkeys(RUN_PHASES, 0.0)
+    mark = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        """Charge the wall time since the previous lap to ``phase`` — the
+        laps tile the run, so ``phase_s`` sums to its wall time."""
+        nonlocal mark
+        now = time.perf_counter()
+        phase_s[phase] += now - mark
+        mark = now
+
     index = None
     if dedup_index_dir is not None:
         from ..state.dedup_index import DedupIndex
@@ -298,6 +336,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
         from ..state.hamming_index import HammingIndex
 
         hidx = HammingIndex(neardup_index_dir, radius=neardup_radius)
+    lap("screen_setup")
 
     # shard the manifest directory past ~10^5 fragments (flat listing is
     # O(#fragments)); both layouts read interchangeably, so resume works
@@ -323,6 +362,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
                if i not in done and i not in skip_idx]
     filtered_dir = os.path.join(out_dir, "filtered")
     os.makedirs(filtered_dir, exist_ok=True)
+    lap("inputs")
 
     win_parts: list[tuple[np.ndarray, np.ndarray]] = []  # winner partials
     stage_ns = dict.fromkeys(PHASE1_STAGES, 0)
@@ -335,23 +375,18 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             wave_ds = index.filter_new(wave_ds, "phash")
         if hidx is not None and hidx.n_keys:
             wave_ds = hidx.filter_new(wave_ds, "phash")
+        # batch_size=None: a map with a minimum batch size is never fused
+        # behind the read, which would put every payload byte into the
+        # object store between the two; the stage slices its block itself
+        stage_kwargs = {"filtered_dir": filtered_dir, "validate_images": validate_images,
+                        "batch_size": batch_size}
         if stage_mode == "actors":
-            result = wave_ds.map_batches(
-                Phase1Stage,
-                fn_constructor_kwargs={"filtered_dir": filtered_dir,
-                                       "validate_images": validate_images},
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                concurrency=concurrency,
-            )
+            result = wave_ds.map_batches(Phase1Stage, fn_constructor_kwargs=stage_kwargs,
+                                         batch_format="pyarrow", batch_size=None,
+                                         concurrency=concurrency)
         else:
-            result = wave_ds.map_batches(
-                _phase1_task,
-                fn_kwargs={"filtered_dir": filtered_dir,
-                           "validate_images": validate_images},
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
+            result = wave_ds.map_batches(_phase1_task, fn_kwargs=stage_kwargs,
+                                         batch_format="pyarrow", batch_size=None)
         tally: dict[tuple[int, str], int] = {}
         for b in result.iter_batches(batch_size=65536, batch_format="pyarrow"):
             kmask = b["key"].is_valid()
@@ -365,6 +400,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
                                   wb["win_id"].to_numpy(zero_copy_only=False)))
         for stage in PHASE1_STAGES:
             stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
+        lap("phase1")
         src = dict(wave)
         for frag_id, _ in wave:
             agg = {k: v for (f, k), v in tally.items() if f == frag_id}
@@ -379,25 +415,25 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
                               if k.startswith("rule:") and k != "rule:"},
                 "output_path": f"filtered/frag-{frag_id:06d}",
             })
+        lap("manifest")
 
     totals = manifest.totals()
     totals["phase1_stage_s"] = {k: v / 1e9 for k, v in stage_ns.items()}
     if skipped_inputs:
         totals["skipped_inputs"] = len(skipped_inputs)
+    lap("manifest")
+    final_dir = os.path.join(out_dir, "final")
     if dedup and dedup_strategy == "shuffle":
         from ..dedup.exact import dedup_by_key
 
-        final_dir = os.path.join(out_dir, "final")
         shutil.rmtree(final_dir, ignore_errors=True)
         survivors = read_parquet_sized(filtered_dir).map_batches(_surviving, batch_format="pyarrow")
         deduped = dedup_by_key(survivors, key="phash", order_col="image_id",
                                strategy="map_groups")
         deduped.write_parquet(final_dir, **_PAYLOAD_WRITE_ARGS)
         totals["final_rows"] = read_parquet_sized(final_dir).count()
-        if ar_batch_size is not None:
-            _write_ar_batches(out_dir, totals, ar_batch_size, ar_buckets)
-        return totals
-    if dedup:
+        lap("final")
+    elif dedup:
         # winners for fragments committed in PREVIOUS runs (resume path):
         # read their key columns only, merge into the winner partials
         if done:
@@ -408,6 +444,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             if prev_files:
                 _merge_winners_from_disk(prev_files, win_parts)
         wp, wi = _finalize_winners(win_parts)
+        lap("winners")
         if final_output == "metadata":
             keep_dir = os.path.join(out_dir, "final_keep")
             os.makedirs(keep_dir, exist_ok=True)
@@ -419,8 +456,8 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             totals["final_rows"] = len(wp)
             totals["final_mode"] = "metadata"
         else:
-            totals["final_rows"] = _dedup_phase(filtered_dir,
-                                                os.path.join(out_dir, "final"), wp, wi)
+            totals["final_rows"] = _dedup_phase(filtered_dir, final_dir, wp, wi)
+        lap("final")
         if index is not None:
             from ..state.dedup_index import append as _index_append
 
@@ -430,8 +467,11 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
             from ..state.dedup_index import append as _index_append
 
             _index_append(hidx.index_dir, wp)
+        lap("index_append")
     if ar_batch_size is not None:
         _write_ar_batches(out_dir, totals, ar_batch_size, ar_buckets)
+        lap("ar_batches")
+    totals["phase_s"] = phase_s
     return totals
 
 
@@ -582,28 +622,61 @@ def _dedup_phase(filtered_dir: str, final_dir: str,
                  wp: np.ndarray, wi: np.ndarray) -> int:
     """Keep-first-by-image_id per phash using the precomputed winner
     arrays (sorted by phash, phash unique; broadcast once via ray.put →
-    zero-copy plasma reads + vectorized searchsorted membership — a
-    Python set of tuples would re-unpickle per task). The winner arrays
-    fit driver memory by strategy assumption — beyond that use
-    dedup_by_key(strategy='map_groups'). Returns final row count."""
+    zero-copy plasma reads + vectorized searchsorted membership). The
+    winner arrays fit driver memory by strategy assumption — beyond that
+    use dedup_by_key(strategy='map_groups'). Returns final row count.
+
+    A per-row filter with no exchange, so it runs as plain Ray tasks, not
+    a Ray Data job: the sorted fragment directories split into contiguous
+    groups (as many as ``read_block_count`` gives the filtered bytes,
+    at most one per fragment), one task per group, a bounded number in
+    flight. Each task streams its fragments one at a time into
+    ``final/part-<first frag>-<last frag>.parquet`` — a retried task
+    rewrites the same name."""
     import ray
 
-    from ..functions.broadcast import cached_get
-
-    win_ref = ray.put((wp, np.asarray(wi)))
-
-    def keep_winners(batch: pa.Table) -> pa.Table:
-        wphash, wid = cached_get(win_ref)
-        return _filter_winners(batch, wphash, wid)
-
     shutil.rmtree(final_dir, ignore_errors=True)
-    (
-        read_parquet_sized(filtered_dir)
-        .map_batches(_surviving, batch_format="pyarrow")
-        .map_batches(keep_winners, batch_format="pyarrow")
-        .write_parquet(final_dir, **_PAYLOAD_WRITE_ARGS)
-    )
+    os.makedirs(final_dir)
+    frag_dirs = sorted(glob.glob(os.path.join(filtered_dir, "frag-*")))
+    if not frag_dirs:
+        return len(wp)
+    max_in_flight = 2 * cluster_cpus()
+    nbytes = parquet_bytes(pq.read_metadata(f) for d in frag_dirs
+                           for f in glob.glob(os.path.join(d, "*.parquet")))
+    n_groups = min(session_block_count(nbytes), len(frag_dirs))
+    win_ref = ray.put((wp, np.asarray(wi)))
+    task = ray.remote(_rewrite_group)
+    in_flight = []
+    for group in np.array_split(np.array(frag_dirs), n_groups):
+        if len(in_flight) >= max_in_flight:
+            ready, in_flight = ray.wait(in_flight, num_returns=1)
+            ray.get(ready)
+        first, last = (os.path.basename(d)[len("frag-"):] for d in (group[0], group[-1]))
+        in_flight.append(task.remote(group.tolist(), win_ref,
+                                     os.path.join(final_dir, f"part-{first}-{last}.parquet")))
+    ray.get(in_flight)
     return len(wp)
+
+
+def _rewrite_group(frag_dirs: list[str], winners: tuple[np.ndarray, np.ndarray],
+                   path: str) -> None:
+    """Phase-2 task body: the winner rows of ``frag_dirs``, read one file
+    at a time, streamed through one writer to ``path`` (tmp+rename)."""
+    wphash, wid = winners
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.getpid()}-{os.path.basename(path)}")
+    writer = None
+    try:
+        for d in frag_dirs:
+            for f in sorted(glob.glob(os.path.join(d, "*.parquet"))):
+                t = _filter_winners(_surviving(pq.read_table(f)), wphash, wid)
+                if writer is None:
+                    writer = pq.ParquetWriter(tmp, t.schema, **_PAYLOAD_WRITE_ARGS)
+                writer.write_table(t)
+    finally:
+        if writer is not None:
+            writer.close()
+    if writer is not None:
+        os.replace(tmp, path)
 
 
 def _id_ranges(footers: list, id_col: str):

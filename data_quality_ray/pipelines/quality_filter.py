@@ -123,7 +123,7 @@ class QualityFilterStage:
 
 
 def filtered(ds, chain_builder=build_image_chain, column: str = "caption",
-             aux_columns: tuple[str, ...] = (), concurrency: int | tuple = 4,
+             aux_columns: tuple[str, ...] = (), concurrency: int | tuple = (1, 4),
              batch_size: int = 4096, keep_only: bool = False,
              num_cpus: float | None = None, num_gpus: float | None = None):
     """Apply the quality-filter stage to a Dataset; optionally keep only

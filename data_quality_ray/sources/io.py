@@ -66,6 +66,25 @@ def _parquet_files(paths) -> list[str]:
     return out
 
 
+def cluster_cpus() -> int:
+    """CPUs of the Ray session; an uninitialized session auto-starts on
+    all local CPUs."""
+    import ray
+
+    if ray.is_initialized():
+        return int(ray.cluster_resources().get("CPU", 1))
+    return os.cpu_count() or 1
+
+
+def session_block_count(nbytes: int) -> int:
+    """:func:`read_block_count` for this Ray session's CPUs and its
+    ``DataContext.target_max_block_size``."""
+    import ray.data as rd
+
+    return read_block_count(cluster_cpus(), nbytes,
+                            rd.DataContext.get_current().target_max_block_size)
+
+
 def read_parquet_sized(paths, columns: list[str] | None = None,
                        blocks: int | None = None, footers=None):
     """``ray.data.read_parquet`` with ``override_num_blocks`` from
@@ -73,17 +92,12 @@ def read_parquet_sized(paths, columns: list[str] | None = None,
     bytes from the files' footers (pass ``footers`` when the caller has
     already read them). ``blocks`` overrides the rule."""
     import pyarrow.parquet as pq
-    import ray
     import ray.data as rd
 
     if not blocks:
         if footers is None:
             footers = [pq.read_metadata(f) for f in _parquet_files(paths)]
-        # an uninitialized session auto-starts on all local CPUs
-        cpus = (ray.cluster_resources().get("CPU", 1) if ray.is_initialized()
-                else os.cpu_count() or 1)
-        blocks = read_block_count(int(cpus), parquet_bytes(footers, columns),
-                                  rd.DataContext.get_current().target_max_block_size)
+        blocks = session_block_count(parquet_bytes(footers, columns))
     return rd.read_parquet(paths, columns=columns, override_num_blocks=blocks)
 
 

@@ -90,7 +90,7 @@ class AlignmentStage:
                     .append_column("is_aligned", is_aligned)
 
 
-def align_captions(ds, threshold: float = 0.0, concurrency: int | tuple = 4,
+def align_captions(ds, threshold: float = 0.0, concurrency: int | tuple = (1, 4),
                    batch_size: int = 1024):
     """Attach alignment scores to an image+caption Dataset via an actor
     pool (encoder state once per actor, zero-copy Arrow batches)."""

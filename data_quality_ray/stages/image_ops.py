@@ -196,12 +196,12 @@ def geometry_flags(ds, min_dim: int = 40, min_aspect: float = 0.5,
     return ds.map_batches(flags, batch_format="pandas")
 
 
-def extract_image_features(ds, concurrency: int | tuple = 4, batch_size: int = 512):
+def extract_image_features(ds, concurrency: int | tuple = (1, 4), batch_size: int = 512):
     return ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
                           batch_size=batch_size, concurrency=concurrency)
 
 
-def resize_images(ds, out_w: int, out_h: int, concurrency: int | tuple = 4,
+def resize_images(ds, out_w: int, out_h: int, concurrency: int | tuple = (1, 4),
                   batch_size: int = 512):
     return ds.map_batches(ImageResizeStage,
                           fn_constructor_kwargs={"out_w": out_w, "out_h": out_h},
@@ -210,7 +210,7 @@ def resize_images(ds, out_w: int, out_h: int, concurrency: int | tuple = 4,
 
 
 def sample_frames(ds, n_frames: int = 4, video_col: str = "video",
-                  concurrency: int | tuple = 2, batch_size: int = 64):
+                  concurrency: int | tuple = (1, 2), batch_size: int = 64):
     return ds.map_batches(FrameSampleStage,
                           fn_constructor_kwargs={"n_frames": n_frames, "video_col": video_col},
                           batch_format="pyarrow", batch_size=batch_size,

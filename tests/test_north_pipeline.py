@@ -74,6 +74,7 @@ def test_exact_resume_skips_completed(north_run, f1_dir):
     assert stats2["final_rows"] == stats["final_rows"]
     assert stats2["rule_hits"] == stats["rule_hits"]
     assert set(stats2["phase1_stage_s"].values()) == {0.0}  # no phase-1 batch ran
+    assert stats2["phase_s"]["phase1"] == 0.0
 
 
 def test_phase1_stage_timings(north_run):
@@ -148,22 +149,158 @@ def test_metadata_final_mode_matches_rewrite(north_run, f1_dir, tmp_path):
 
 
 def test_final_files_sized_to_cpus(north_run):
-    """The phase-2 rewrite reads its small input in 2 × CPUs blocks (not
-    Ray's ~1 MiB split) and writes one file per block. Ray reads the
-    blocks as min(blocks, files) tasks of ceil(blocks / tasks) blocks
-    each, so fewer input files than blocks round the count up. (Row
-    identity with read_final in metadata mode is checked above.)"""
+    """The phase-2 rewrite writes one file per group of contiguous
+    fragment directories, and there are as many groups as
+    ``read_block_count`` gives the filtered bytes (2 × CPUs here, not
+    Ray's ~1 MiB split), at most one per fragment. (Row identity with
+    read_final in metadata mode is checked above.)"""
     import glob
-    import math
 
     import ray
+    import ray.data as rd
+
+    from data_quality_ray.sources.io import parquet_bytes, read_block_count
 
     out, stats = north_run
-    blocks = 2 * int(ray.cluster_resources()["CPU"])
-    tasks = min(blocks, len(glob.glob(out + "/filtered/*/*.parquet")))
+    frag_dirs = glob.glob(out + "/filtered/frag-*")
+    nbytes = parquet_bytes(pq.read_metadata(f)
+                           for f in glob.glob(out + "/filtered/*/*.parquet"))
+    groups = read_block_count(int(ray.cluster_resources()["CPU"]), nbytes,
+                              rd.DataContext.get_current().target_max_block_size)
     files = glob.glob(out + "/final/*.parquet")
-    assert 0 < len(files) <= tasks * math.ceil(blocks / tasks)
+    assert len(files) == min(groups, len(frag_dirs))
     assert sum(pq.read_metadata(f).num_rows for f in files) == stats["final_rows"]
+
+
+def _final_table(out):
+    import glob
+
+    import pyarrow as pa
+
+    files = sorted(glob.glob(out + "/final/*.parquet"))
+    return [os.path.basename(f) for f in files], \
+        pa.concat_tables(pq.read_table(f) for f in files).sort_by("image_id")
+
+
+def test_phase2_names_rerun_and_stale_tmp(ray_session, f1_dir, tmp_path):
+    """Phase 2 writes ``part-<first frag>-<last frag>.parquet`` over
+    contiguous fragment groups that cover every fragment once; a rerun
+    into the same ``out_dir`` gives the same names and rows, and stale
+    ``.tmp-*`` files under ``filtered/`` or ``final/`` are neither read
+    nor left behind. The driver's phase ledger tiles the run."""
+    import glob
+    import time
+
+    from data_quality_ray.pipelines.north import RUN_PHASES, run_quality_pipeline
+
+    out = str(tmp_path / "out")
+    t0 = time.perf_counter()
+    stats = run_quality_pipeline(f1_dir, out, batch_size=256)
+    wall = time.perf_counter() - t0
+    assert list(stats["phase_s"]) == list(RUN_PHASES)
+    assert min(stats["phase_s"].values()) >= 0
+    assert wall * 0.95 <= sum(stats["phase_s"].values()) <= wall
+
+    names, rows = _final_table(out)
+    spans = [tuple(int(x) for x in n[len("part-"):-len(".parquet")].split("-")) for n in names]
+    n_frags = len(glob.glob(out + "/filtered/frag-*"))
+    covered = [f for lo, hi in spans for f in range(lo, hi + 1)]
+    assert covered == list(range(n_frags))
+    assert rows.num_rows == stats["final_rows"]
+
+    # a torn earlier attempt: a tmp copy of a committed file (its rows
+    # would be duplicate winners if read) and a tmp in final/
+    src = sorted(glob.glob(out + "/filtered/frag-000000/*.parquet"))[0]
+    shutil.copy(src, os.path.join(os.path.dirname(src), ".tmp-1-" + os.path.basename(src)))
+    open(os.path.join(out, "final", ".tmp-1-part-000000-000000.parquet"), "wb").write(b"torn")
+    stats2 = run_quality_pipeline(f1_dir, out, batch_size=256)
+    names2, rows2 = _final_table(out)
+    assert names2 == names
+    assert rows2.equals(rows)
+    assert stats2["final_rows"] == stats["final_rows"]
+    assert not glob.glob(out + "/final/.tmp-*")
+
+
+def test_phase1_stage_slices_its_block(f1_dir, tmp_path):
+    """One ``Phase1Stage(batch_size=k)`` call on a block of 2.5·k rows
+    writes the same ``filtered/`` files and rows and returns the same
+    tallies and winner partials as its three slices called one by one,
+    with one ``t:<stage>`` row per stage."""
+    import glob
+    from collections import Counter
+
+    import pyarrow as pa
+
+    from data_quality_ray.pipelines.north import PHASE1_STAGES, Phase1Stage
+
+    k = 100
+    parts = []
+    for frag, f in enumerate(sorted(glob.glob(f1_dir + "/part-*.parquet"))[:2]):
+        t = pq.read_table(f)
+        parts.append(t.append_column("fragment", pa.array([frag] * len(t), type=pa.int32())))
+    block = pa.concat_tables(parts).slice(0, 5 * k // 2)
+
+    def split(res):
+        keyed = res.filter(res["key"].is_valid()).to_pylist()
+        tallies = Counter()
+        for r in keyed:
+            if not r["key"].startswith("t:"):
+                tallies[(r["fragment"], r["key"])] += r["n"]
+        wins = res.filter(res["key"].is_null())
+        return ([r["key"] for r in keyed if r["key"].startswith("t:")], tallies,
+                sorted(zip(wins["phash"].to_pylist(), wins["win_id"].to_pylist())))
+
+    def written(d):
+        files = sorted(glob.glob(f"{d}/*/*.parquet"))
+        return ([os.path.relpath(f, d) for f in files],
+                pa.concat_tables(pq.read_table(f) for f in files).sort_by("image_id"))
+
+    whole = split(Phase1Stage(str(tmp_path / "a"), batch_size=k)(block))
+    stage = Phase1Stage(str(tmp_path / "b"), batch_size=k)
+    sliced = [split(stage(block.slice(s, k))) for s in range(0, len(block), k)]
+    assert len(sliced) == 3
+    assert whole[0] == ["t:" + s for s in PHASE1_STAGES]
+    assert whole[1] == sum((s[1] for s in sliced), Counter())
+    assert sum(whole[1][key] for key in whole[1] if key[1].startswith("verdict:")) == len(block)
+    assert whole[2] == sorted(w for s in sliced for w in s[2])
+    files_a, rows_a = written(tmp_path / "a")
+    files_b, rows_b = written(tmp_path / "b")
+    assert files_a == files_b and rows_a.equals(rows_b)
+
+
+@pytest.mark.parametrize("stage_mode", ["tasks", "actors"])
+def test_phase1_is_one_fused_operator(ray_session, tmp_path, monkeypatch, stage_mode):
+    """The phase-1 job runs as ONE operator from the parquet read through
+    the stage: a map with a minimum batch size is never fused behind a
+    read, and the payload would then cross the object store. The wave has
+    2 × CPUs files, so the read's block count (2 × CPUs for these few
+    bytes) does not split a file, which Ray does not fuse either."""
+    import glob
+    import re
+
+    import ray.data as rd
+
+    from data_quality_ray.pipelines.north import run_quality_pipeline
+    from data_quality_ray.sources.fixtures import write_f1
+    from data_quality_ray.sources.io import cluster_cpus, parquet_bytes, session_block_count
+
+    src = str(tmp_path / "in")
+    write_f1(src, n_rows=64 * 2 * cluster_cpus(), seed=42, rows_per_file=64)
+    files = glob.glob(src + "/part-*.parquet")
+    assert session_block_count(parquet_bytes(pq.read_metadata(f) for f in files)) <= len(files)
+
+    iterated = []
+    orig = rd.Dataset.iter_batches
+
+    def record(self, *args, **kwargs):
+        iterated.append(self)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "iter_batches", record)
+    run_quality_pipeline(src, str(tmp_path / "out"), batch_size=256, stage_mode=stage_mode)
+    ops = re.findall(r"^Operator \d+ (.+?):", iterated[0].stats(), flags=re.M)
+    stage = "_phase1_task" if stage_mode == "tasks" else "Phase1Stage"
+    assert len(ops) == 1 and "ReadParquet" in ops[0] and stage in ops[0], ops
 
 
 def test_shuffle_dedup_strategy_matches_broadcast(north_run, f1_dir, tmp_path):
@@ -250,3 +387,38 @@ def test_ar_batch_layout_stage(ray_session, f1_dir, tmp_path):
         assert m2["ar_batch_rows"] == m["ar_batch_rows"]  # resume: committed
         rows[mode] = m["ar_batch_rows"]
     assert rows["rewrite"] == rows["metadata"]
+
+
+_ONE_CPU_SCRIPT = """
+import signal
+import sys
+import ray
+
+def _timeout(signum, frame):  # a pool that never starts ends the run, Ray stopped
+    sys.exit("timed out")
+
+signal.signal(signal.SIGALRM, _timeout)
+signal.alarm({alarm})
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+try:
+    from data_quality_ray.pipelines.north import run_quality_pipeline
+    stats = run_quality_pipeline({f1!r}, {out!r}, batch_size=256, stage_mode="actors")
+    print("final_rows", stats["final_rows"], flush=True)
+finally:
+    ray.shutdown()
+"""
+
+
+@pytest.mark.slow
+def test_actor_mode_default_concurrency_runs_on_one_cpu(f1_dir, tmp_path):
+    """``stage_mode="actors"`` with the default ``concurrency`` starts its
+    pool at one actor, so it finishes on a 1-CPU Ray session (a fixed pool
+    of four one-CPU actors waits forever there)."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = _ONE_CPU_SCRIPT.format(alarm=180, f1=f1_dir, out=str(tmp_path / "out"))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=repo, capture_output=True,
+                          text=True, timeout=240)
+    assert proc.returncode == 0 and "final_rows" in proc.stdout, proc.stderr[-2000:]
