@@ -52,16 +52,23 @@ def hamming64(a: int, b: int) -> int:
     return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
-# byte-popcount lookup table (numpy 1.x has no bitwise_count; the same
-# trick as the image-phash unpackbits kernel, one table probe per byte)
-_POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
 
 
 def hamming64_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized Hamming distance for aligned uint64 signature arrays:
-    xor, view bytes, LUT popcount, row-sum — no Python per pair."""
-    x = (a ^ b).view(np.uint8).reshape(-1, 8)
-    return _POPCNT8[x].sum(axis=1).astype(np.int64)
+    """Hamming distance of 64-bit signatures (int64 or uint64, any
+    broadcastable shapes): xor, then a SWAR popcount — three mask-shift-add
+    steps and one multiply summing the byte counts into the top byte."""
+    x = np.asarray(a).view(np.uint64) ^ np.asarray(b).view(np.uint64)
+    x -= (x >> np.uint64(1)) & _M1
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    with np.errstate(over="ignore"):  # the multiply wraps by design
+        x = x * _H01
+    return (x >> np.uint64(56)).astype(np.int64)
 
 
 def add_simhash(ds, text_col: str, out_col: str = "simhash", hash_fn: str = "stable"):

@@ -1,23 +1,21 @@
 """The end-to-end north-star pipeline with lineage + exact resume.
 
-Phase 1 — ONE streaming job per wave (no re-reads), ONE fused operator
-(``ReadParquet->MapBatches(_RangeTagger)->MapBatches(_phase1_task)``,
-so payload bytes go from the read to the stage inside one task, never
-through the object store) whenever the wave has at least as many files
-as read blocks (2 × CPUs for small waves); Ray splits a file into
-several blocks otherwise, and does not fuse such a read:
-    fused read over the wave's files
-      → fragment tag (vectorized searchsorted over parquet-footer id
-        ranges; per-file union fallback for unsorted inputs)
-      → Phase1Stage over the whole read block, in zero-copy
-        ``batch_size``-row slices: caption rule chain (langid +
-        perplexity + heuristics + PII/toxicity scrub) + image validation
-        (decode, dims + phash verify; corrupt rows → DROP
-        'corrupt_image')
+Phase 1 — plain Ray tasks (or ``Phase1Stage`` actors), no Ray Data job,
+one per unit of work (``_phase1_units``: runs of whole files, or runs
+of row groups when a wave has fewer files than units), so payload bytes go
+from the file to the stage inside one task, never via the object store:
+    read the unit (``pyarrow.parquet``); ``fragment`` = the file's
+        POSITION in the sorted input list
+      → cross-run index screens: Arrow table filters over ``phash``
+        (exact, then Hamming)
+      → Phase1Stage over the unit, in zero-copy ``batch_size``-row
+        slices: caption rule chain (langid + perplexity + heuristics +
+        PII/toxicity scrub) + image validation (decode, dims + phash
+        verify; corrupt rows → DROP 'corrupt_image')
       → writes its own per-fragment parquet files (idempotent
         deterministic names, tmp+rename atomic) as a side output
-      → RETURNS per-block tally partials (tiny) — the job's only
-        object-store output
+      → RETURNS the unit's tally and winner partials (tiny) — the task's
+        only object-store output
     then per-fragment lineage records commit atomically to the manifest.
 
 Phase 2 — phash dedup over committed survivors:
@@ -52,6 +50,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..dedup.simhash import hamming64_pairs
 from ..sources.io import cluster_cpus, parquet_bytes, read_parquet_sized, session_block_count
 from ..stages.image import decode, phash64_batch
 from ..state.manifest import Manifest
@@ -80,7 +79,7 @@ def _frag_dir(filtered_dir: str, frag: int) -> str:
 
 
 class Phase1Stage:
-    """Phase-1 stage over one read block: rule chain + image validation +
+    """Phase-1 stage over one unit of work: rule chain + image validation +
     in-stage partitioned write, ``batch_size`` rows at a time. Returns
     tally partial rows; files are the side output."""
 
@@ -90,6 +89,10 @@ class Phase1Stage:
         self.filtered_dir = filtered_dir
         self.validate_images = validate_images
         self.batch_size = batch_size
+
+    def run(self, unit: list[tuple[int, str, list[int]]], screens: list) -> pa.Table:
+        """The stage over one ``_phase1_units`` unit, read and screened here."""
+        return self(_read_unit(unit, screens))
 
     def _validate(self, batch: pa.Table, verdict: np.ndarray, first_rule: np.ndarray,
                   ns: dict[str, int]) -> None:
@@ -117,12 +120,9 @@ class Phase1Stage:
         ns["decode"] += t1 - t0
         if not good_idx:
             return
-        from ..dedup.simhash import hamming64_pairs
-
-        recomputed = phash64_batch(good_px).view(np.uint64)
+        recomputed = phash64_batch(good_px)
         ns["phash"] += time.perf_counter_ns() - t1
-        stored = phs[np.array(good_idx)].astype(np.int64).view(np.uint64)
-        dist = hamming64_pairs(recomputed, stored)
+        dist = hamming64_pairs(recomputed, phs[np.array(good_idx)])
         lossy = np.isin(fmts[np.array(good_idx)], list(LOSSY_FORMATS))
         bad = np.where(lossy, dist > PHASH_HAMMING_MAX_LOSSY, dist != 0)
         for i in np.array(good_idx)[bad]:
@@ -182,20 +182,8 @@ class Phase1Stage:
         # this slice) ride the same return table — phase 2 needs no extra
         # scan of freshly-processed fragments
         alive = verdict != "DROP"
-        ph = batch["phash"].to_numpy()[alive]
-        aid = ids[alive]
-        if len(ph):
-            idx = np.lexsort((aid, ph))
-            sk = ph[idx]
-            first = np.ones(len(sk), dtype=bool)
-            if len(sk) > 1:
-                first[1:] = sk[1:] != sk[:-1]
-            keep = idx[first]
-            win_ph, win_id = ph[keep], aid[keep]
-        else:
-            win_ph = np.empty(0, dtype=np.int64)
-            win_id = np.empty(0, dtype=object)
-        out = _tally_table(frags, keys, counts, win_ph, win_id)
+        out = _tally_table(frags, keys, counts,
+                           *_min_id_per_phash(batch["phash"].to_numpy()[alive], ids[alive]))
         ns["tally"] += time.perf_counter_ns() - t0 - (ns["write"] - write_ns)
         return out
 
@@ -217,12 +205,12 @@ def _tally_table(frags: list, keys: list, counts: list,
 _STAGE_CACHE: dict = {}
 
 
-def _phase1_task(block: pa.Table, filtered_dir: str, validate_images: bool,
-                 batch_size: int) -> pa.Table:
+def _phase1_task(unit: list[tuple[int, str, list[int]]], screens: list, filtered_dir: str,
+                 validate_images: bool, batch_size: int) -> pa.Table:
     """Task-mode phase-1 body: the stage object (rule chain + models) is
     built once per WORKER PROCESS and cached at module level — Ray reuses
-    worker processes across jobs, so task mode skips per-job actor-pool
-    spawn entirely. Right when model setup is cheap (here: ~20 ms); for
+    worker processes across tasks and runs, so task mode never spawns an
+    actor pool. Right when model setup is cheap (here: ~20 ms); for
     heavy models (real fastText / KenLM binaries) use stage_mode='actors'
     so setup amortizes per actor instead of per process."""
     key = (filtered_dir, validate_images, batch_size)
@@ -230,7 +218,54 @@ def _phase1_task(block: pa.Table, filtered_dir: str, validate_images: bool,
     if stage is None:
         stage = _STAGE_CACHE[key] = Phase1Stage(filtered_dir, validate_images=validate_images,
                                                 batch_size=batch_size)
-    return stage(block)
+    return stage.run(unit, screens)
+
+
+def _phase1_units(wave: list[tuple[int, str]]) -> list[list[tuple[int, str, list[int]]]]:
+    """``session_block_count(wave bytes)`` units of work, each a list of
+    ``(fragment, path, row groups)``: runs of whole contiguous files, or —
+    when the wave has fewer files than units — runs of contiguous row
+    groups, at most one unit per row group, so no byte is read twice."""
+    footers = [pq.read_metadata(p) for _, p in wave]
+    n = session_block_count(parquet_bytes(footers))
+    if len(wave) >= n:
+        items = [(frag, path, list(range(md.num_row_groups)))
+                 for (frag, path), md in zip(wave, footers)]
+    else:
+        items = [(frag, path, [g]) for (frag, path), md in zip(wave, footers)
+                 for g in range(md.num_row_groups)]
+    return [[items[i] for i in idx]
+            for idx in np.array_split(np.arange(len(items)), n) if len(idx)]
+
+
+def _read_unit(unit: list[tuple[int, str, list[int]]], screens: list) -> pa.Table:
+    """The unit's rows plus ``fragment``, through ``screens`` (``pa.Table
+    → pa.Table`` filters)."""
+    parts = []
+    for frag, path, groups in unit:
+        with pq.ParquetFile(path) as f:
+            t = f.read_row_groups(groups)
+        parts.append(t.append_column("fragment", pa.array(np.full(len(t), frag, dtype=np.int32))))
+    t = pa.concat_tables(parts, promote_options="default")
+    for screen in screens:
+        t = screen(t)
+    return t
+
+
+def _bounded(submit, items):
+    """``submit(item)`` (a Ray ObjectRef) for every item, at most 2 × CPUs
+    in flight; yields the results in completion order."""
+    import ray
+
+    limit, in_flight = 2 * cluster_cpus(), []
+    for item in items:
+        if len(in_flight) >= limit:
+            ready, in_flight = ray.wait(in_flight, num_returns=1)
+            yield ray.get(ready[0])
+        in_flight.append(submit(item))
+    while in_flight:
+        ready, in_flight = ray.wait(in_flight, num_returns=1)
+        yield ray.get(ready[0])
 
 
 def _validate_fragment_files(files: list[str]) -> tuple[set[int], list[dict]]:
@@ -280,20 +315,26 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
                          ar_buckets=None) -> dict:
     """Run (or resume) the full pipeline. Returns run-level metrics.
 
+    ``concurrency``: in ``stage_mode="actors"`` the number of
+    ``Phase1Stage`` actors, capped at the session's CPUs and the wave's
+    unit count; of a ``(min, max)`` tuple only the largest value counts
+    (the pool does not autoscale). Task mode ignores it.
+
     ``dedup_strategy``: "broadcast" (default — winner map fits driver
     memory; SCALE.md capacity assumption) or "shuffle" (unbounded key
     spaces: groupby(phash).map_groups keep-first, no driver-side state).
 
     ``dedup_index_dir``: optional cross-RUN dedup index
     (state/dedup_index.py). Rows whose phash was committed by a previous
-    run are dropped BEFORE phase 1 (no decode/scoring spent on known
-    dups), and this run's surviving phashes are committed as the next
-    index generation after phase 2 — idempotent under crash/retry.
+    run are dropped inside each phase-1 task right after its read, before
+    the stage (no decode/scoring spent on known dups), and this run's
+    surviving phashes are committed as the next index generation after
+    phase 2 — idempotent under crash/retry.
 
     ``neardup_index_dir``: optional cross-run NEAR-dup index
     (state/hamming_index.py): rows whose phash is within
     ``neardup_radius`` Hamming bits of ANY previous run's committed
-    winners are dropped before phase 1 (exact screen by pigeonhole —
+    winners are dropped the same way (exact screen by pigeonhole —
     the day-two re-crawl whose images were re-encoded/resized). Winner
     phashes are committed after phase 2, same generation-store
     guarantees as ``dedup_index_dir``; both indexes can run together
@@ -315,6 +356,9 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     scanned once, never copied); ``read_final`` output is row-identical
     to the rewrite path (parity-tested).
     """
+    import ray
+    from ray.util import ActorPool
+
     phase_s = dict.fromkeys(RUN_PHASES, 0.0)
     mark = time.perf_counter()
 
@@ -336,6 +380,8 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
         from ..state.hamming_index import HammingIndex
 
         hidx = HammingIndex(neardup_index_dir, radius=neardup_radius)
+    # exact first — it's cheaper — then the Hamming screen
+    screens = [ix.table_filter("phash") for ix in (index, hidx) if ix is not None and ix.n_keys]
     lap("screen_setup")
 
     # shard the manifest directory past ~10^5 fragments (flat listing is
@@ -366,56 +412,57 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
 
     win_parts: list[tuple[np.ndarray, np.ndarray]] = []  # winner partials
     stage_ns = dict.fromkeys(PHASE1_STAGES, 0)
-    for w in range(0, len(pending), wave_files):
-        wave = pending[w : w + wave_files]
-        for frag_id, _ in wave:  # clear stale partial output (uncommitted)
-            shutil.rmtree(_frag_dir(filtered_dir, frag_id), ignore_errors=True)
-        wave_ds = _tagged_read(wave)
-        if index is not None and index.n_keys:
-            wave_ds = index.filter_new(wave_ds, "phash")
-        if hidx is not None and hidx.n_keys:
-            wave_ds = hidx.filter_new(wave_ds, "phash")
-        # batch_size=None: a map with a minimum batch size is never fused
-        # behind the read, which would put every payload byte into the
-        # object store between the two; the stage slices its block itself
-        stage_kwargs = {"filtered_dir": filtered_dir, "validate_images": validate_images,
-                        "batch_size": batch_size}
-        if stage_mode == "actors":
-            result = wave_ds.map_batches(Phase1Stage, fn_constructor_kwargs=stage_kwargs,
-                                         batch_format="pyarrow", batch_size=None,
-                                         concurrency=concurrency)
-        else:
-            result = wave_ds.map_batches(_phase1_task, fn_kwargs=stage_kwargs,
-                                         batch_format="pyarrow", batch_size=None)
-        tally: dict[tuple[int, str], int] = {}
-        for b in result.iter_batches(batch_size=65536, batch_format="pyarrow"):
-            kmask = b["key"].is_valid()
-            tb = b.filter(kmask)
-            for frag, key, n in zip(tb["fragment"].to_pylist(), tb["key"].to_pylist(),
-                                    tb["n"].to_pylist()):
-                tally[(frag, key)] = tally.get((frag, key), 0) + n
-            wb = b.filter(pc.invert(kmask))
-            if len(wb):  # winner partials stay numpy; merged vectorized below
-                win_parts.append((wb["phash"].to_numpy(),
-                                  wb["win_id"].to_numpy(zero_copy_only=False)))
-        for stage in PHASE1_STAGES:
-            stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
-        lap("phase1")
-        src = dict(wave)
-        for frag_id, _ in wave:
-            agg = {k: v for (f, k), v in tally.items() if f == frag_id}
-            manifest.commit({
-                "fragment": int(frag_id),
-                "source_file": os.path.basename(src[frag_id]),
-                "n_rows": int(sum(v for k, v in agg.items() if k.startswith("verdict:"))),
-                "kept": int(agg.get("verdict:KEEP", 0)),
-                "dropped": int(agg.get("verdict:DROP", 0)),
-                "corrected": int(agg.get("verdict:CORRECTED", 0)),
-                "rule_hits": {k.split(":", 1)[1]: int(v) for k, v in agg.items()
-                              if k.startswith("rule:") and k != "rule:"},
-                "output_path": f"filtered/frag-{frag_id:06d}",
-            })
-        lap("manifest")
+    stage_kwargs = {"filtered_dir": filtered_dir, "validate_images": validate_images,
+                    "batch_size": batch_size}
+    task, actor, actors = ray.remote(_phase1_task), ray.remote(num_cpus=1)(Phase1Stage), []
+    try:
+        for w in range(0, len(pending), wave_files):
+            wave = pending[w : w + wave_files]
+            for frag_id, _ in wave:  # clear stale partial output (uncommitted)
+                shutil.rmtree(_frag_dir(filtered_dir, frag_id), ignore_errors=True)
+            units = _phase1_units(wave)
+            if stage_mode == "actors":
+                # never more actors than the session can place: a pool waiting
+                # for a CPU that does not exist waits forever
+                cap = min(max(np.atleast_1d(concurrency)), cluster_cpus(), len(units))
+                while len(actors) < cap:
+                    actors.append(actor.remote(**stage_kwargs))
+                results = ActorPool(actors).map_unordered(
+                    lambda a, u: a.run.remote(u, screens), units)
+            else:
+                results = _bounded(lambda u: task.remote(u, screens, **stage_kwargs), units)
+            tally: dict[tuple[int, str], int] = {}
+            for b in results:
+                kmask = b["key"].is_valid()
+                tb = b.filter(kmask)
+                for frag, key, n in zip(tb["fragment"].to_pylist(), tb["key"].to_pylist(),
+                                        tb["n"].to_pylist()):
+                    tally[(frag, key)] = tally.get((frag, key), 0) + n
+                wb = b.filter(pc.invert(kmask))
+                if len(wb):  # winner partials stay numpy; merged vectorized below
+                    win_parts.append((wb["phash"].to_numpy(),
+                                      wb["win_id"].to_numpy(zero_copy_only=False)))
+            for stage in PHASE1_STAGES:
+                stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
+            lap("phase1")
+            src = dict(wave)
+            for frag_id, _ in wave:
+                agg = {k: v for (f, k), v in tally.items() if f == frag_id}
+                manifest.commit({
+                    "fragment": int(frag_id),
+                    "source_file": os.path.basename(src[frag_id]),
+                    "n_rows": int(sum(v for k, v in agg.items() if k.startswith("verdict:"))),
+                    "kept": int(agg.get("verdict:KEEP", 0)),
+                    "dropped": int(agg.get("verdict:DROP", 0)),
+                    "corrected": int(agg.get("verdict:CORRECTED", 0)),
+                    "rule_hits": {k.split(":", 1)[1]: int(v) for k, v in agg.items()
+                                  if k.startswith("rule:") and k != "rule:"},
+                    "output_path": f"filtered/frag-{frag_id:06d}",
+                })
+            lap("manifest")
+    finally:  # their CPUs go back to phase 2, or to a caller's retry
+        for a in actors:
+            ray.kill(a)
 
     totals = manifest.totals()
     totals["phase1_stage_s"] = {k: v / 1e9 for k, v in stage_ns.items()}
@@ -547,31 +594,18 @@ def _finalize_winners(parts: list[tuple[np.ndarray, np.ndarray]]):
     sorted-unique phash with the lexicographically smallest image_id."""
     if not parts:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype="U1")
-    ph = np.concatenate([p for p, _ in parts])
-    ids = np.concatenate([np.asarray(i, dtype=object) for _, i in parts]).astype(str)
+    return _min_id_per_phash(
+        np.concatenate([p for p, _ in parts]),
+        np.concatenate([np.asarray(i, dtype=object) for _, i in parts]).astype(str))
+
+
+def _min_id_per_phash(ph: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phash, smallest image_id) per distinct phash, sorted by phash."""
     idx = np.lexsort((ids, ph))
     sp, si = ph[idx], ids[idx]
     first = np.ones(len(sp), dtype=bool)
-    if len(sp) > 1:
-        first[1:] = sp[1:] != sp[:-1]
+    first[1:] = sp[1:] != sp[:-1]
     return sp[first], si[first]
-
-
-def _tagged_read(wave: list[tuple[int, str]]):
-    paths = [p for _, p in wave]
-    footers = [pq.read_metadata(p) for p in paths]  # sizes the read and tags it
-    ranges = _id_ranges(footers, id_col="image_id")
-    if ranges is not None:
-        return read_parquet_sized(paths, footers=footers).map_batches(
-            _RangeTagger([r[0] for r in ranges], [wave[i][0] for _, i in ranges]),
-            batch_format="pyarrow",
-        )
-    parts = [
-        read_parquet_sized(path, footers=[md]).map_batches(_FragmentTagger(frag_id),
-                                                           batch_format="pyarrow")
-        for (frag_id, path), md in zip(wave, footers)
-    ]
-    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
 def _surviving(t: pa.Table) -> pa.Table:
@@ -584,16 +618,9 @@ def _merge_winners_from_disk(frag_dirs: list[str],
     fragments (resume path): reads the two key columns only."""
 
     def partial_min(batch: pa.Table) -> pa.Table:
-        ks = batch["phash"].to_numpy()
-        os_ = batch["image_id"].to_numpy(zero_copy_only=False)
-        idx = np.lexsort((os_, ks))
-        sk = ks[idx]
-        first = np.ones(len(sk), dtype=bool)
-        if len(sk) > 1:
-            first[1:] = sk[1:] != sk[:-1]
-        keep = idx[first]
-        return pa.table({"phash": pa.array(ks[keep]),
-                         "image_id": pa.array(os_[keep], type=pa.string())})
+        ph, ids = _min_id_per_phash(batch["phash"].to_numpy(),
+                                    batch["image_id"].to_numpy(zero_copy_only=False))
+        return pa.table({"phash": pa.array(ph), "image_id": pa.array(ids, type=pa.string())})
 
     partials = (
         read_parquet_sized(frag_dirs, columns=["phash", "image_id", "verdict"])
@@ -630,9 +657,9 @@ def _dedup_phase(filtered_dir: str, final_dir: str,
     a Ray Data job: the sorted fragment directories split into contiguous
     groups (as many as ``read_block_count`` gives the filtered bytes,
     at most one per fragment), one task per group, a bounded number in
-    flight. Each task streams its fragments one at a time into
-    ``final/part-<first frag>-<last frag>.parquet`` — a retried task
-    rewrites the same name."""
+    flight (``_bounded``, as in phase 1). Each task streams its fragments
+    one at a time into ``final/part-<first frag>-<last frag>.parquet`` —
+    a retried task rewrites the same name."""
     import ray
 
     shutil.rmtree(final_dir, ignore_errors=True)
@@ -640,21 +667,18 @@ def _dedup_phase(filtered_dir: str, final_dir: str,
     frag_dirs = sorted(glob.glob(os.path.join(filtered_dir, "frag-*")))
     if not frag_dirs:
         return len(wp)
-    max_in_flight = 2 * cluster_cpus()
     nbytes = parquet_bytes(pq.read_metadata(f) for d in frag_dirs
                            for f in glob.glob(os.path.join(d, "*.parquet")))
     n_groups = min(session_block_count(nbytes), len(frag_dirs))
     win_ref = ray.put((wp, np.asarray(wi)))
     task = ray.remote(_rewrite_group)
-    in_flight = []
-    for group in np.array_split(np.array(frag_dirs), n_groups):
-        if len(in_flight) >= max_in_flight:
-            ready, in_flight = ray.wait(in_flight, num_returns=1)
-            ray.get(ready)
+
+    def submit(group):
         first, last = (os.path.basename(d)[len("frag-"):] for d in (group[0], group[-1]))
-        in_flight.append(task.remote(group.tolist(), win_ref,
-                                     os.path.join(final_dir, f"part-{first}-{last}.parquet")))
-    ray.get(in_flight)
+        return task.remote(group.tolist(), win_ref,
+                           os.path.join(final_dir, f"part-{first}-{last}.parquet"))
+
+    list(_bounded(submit, np.array_split(np.array(frag_dirs), n_groups)))
     return len(wp)
 
 
@@ -677,51 +701,3 @@ def _rewrite_group(frag_dirs: list[str], winners: tuple[np.ndarray, np.ndarray],
             writer.close()
     if writer is not None:
         os.replace(tmp, path)
-
-
-def _id_ranges(footers: list, id_col: str):
-    """(min_id, file_pos) per file from parquet FOOTER statistics only (no
-    data read). Returns None when ranges overlap (caller falls back to
-    per-file tagging). Assumption documented: web-scale shards are
-    id-sorted; the synthetic F1 generator writes sequential id slices."""
-    spans = []
-    for i, md in enumerate(footers):
-        mins, maxs = [], []
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(0)
-            if st.path_in_schema != id_col or st.statistics is None:
-                return None
-            mins.append(st.statistics.min)
-            maxs.append(st.statistics.max)
-        spans.append((min(mins), max(maxs), i))
-    spans.sort()
-    for (a_min, a_max, _), (b_min, _, _) in zip(spans, spans[1:]):
-        if b_min <= a_max:
-            return None
-    return [(s[0], s[2]) for s in spans]
-
-
-class _RangeTagger:
-    """Adds the fragment column by binary search of the id column against
-    the sorted per-file min-id boundaries."""
-
-    def __init__(self, boundaries: list, frag_ids: list[int]):
-        self.boundaries = np.asarray(boundaries, dtype=object)
-        self.frag_ids = np.asarray(frag_ids, dtype=np.int64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch["image_id"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(self.boundaries, ids, side="right") - 1
-        return batch.append_column(
-            "fragment", pa.array(self.frag_ids[pos], type=pa.int32())
-        )
-
-
-class _FragmentTagger:
-    def __init__(self, frag_id: int):
-        self.frag_id = frag_id
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "fragment", pa.array([self.frag_id] * len(batch), type=pa.int32())
-        )

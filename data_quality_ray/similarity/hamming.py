@@ -6,7 +6,7 @@ over signatures instead of strings): given Q query signatures, find each
 query's k nearest table rows by Hamming distance.
 
 Scale shape: the Q query signatures broadcast ONCE (``ray.put`` +
-``cached_get``); each batch computes a (Q × B) xor + LUT-popcount matrix
+``cached_get``); each batch computes a (Q × B) xor + popcount matrix
 and emits a FIXED-SIZE partial (Q × k rows per batch, ties pre-broken),
 so the driver merge sees O(num_blocks × Q × k) rows regardless of table
 size — the ``cosine_topk`` partial-merge pattern, no shuffle at all.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ..dedup.simhash import _POPCNT8
+from ..dedup.simhash import hamming64_pairs
 
 
 def smallest_id_sigs(ds, id_col: str, sig_col: str, n: int):
@@ -59,9 +59,7 @@ def hamming_topk(ds, id_col: str, sig_col: str,
         _qids, _qsigs = cached_get(ref)
         sigs = b[sig_col].to_numpy().astype(np.int64).view(np.uint64)
         ids = b[id_col].to_numpy()
-        # (Q, B) xor matrix -> byte view -> LUT popcount row-sum
-        x = (_qsigs[:, None] ^ sigs[None, :]).view(np.uint8)
-        d = _POPCNT8[x].reshape(len(_qsigs), len(sigs), 8).sum(axis=2)
+        d = hamming64_pairs(_qsigs[:, None], sigs[None, :])  # (Q, B)
         frames = []
         for qi in range(len(_qids)):
             order = np.lexsort((ids, d[qi]))[:k]

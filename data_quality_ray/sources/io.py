@@ -86,17 +86,15 @@ def session_block_count(nbytes: int) -> int:
 
 
 def read_parquet_sized(paths, columns: list[str] | None = None,
-                       blocks: int | None = None, footers=None):
+                       blocks: int | None = None):
     """``ray.data.read_parquet`` with ``override_num_blocks`` from
     :func:`read_block_count`: CPUs from ``ray.cluster_resources()``,
-    bytes from the files' footers (pass ``footers`` when the caller has
-    already read them). ``blocks`` overrides the rule."""
+    bytes from the files' footers. ``blocks`` overrides the rule."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
     if not blocks:
-        if footers is None:
-            footers = [pq.read_metadata(f) for f in _parquet_files(paths)]
+        footers = [pq.read_metadata(f) for f in _parquet_files(paths)]
         blocks = session_block_count(parquet_bytes(footers, columns))
     return rd.read_parquet(paths, columns=columns, override_num_blocks=blocks)
 

@@ -10,9 +10,10 @@ previous crawl (exact key: phash / content hash). The index is:
 
 - ``load_keys`` reads all COMMITTED generations into one sorted numpy
   array (uncommitted/partial generations are invisible — crash-safe).
-- ``DedupIndex.filter_new`` broadcasts that array once via ``ray.put``
-  and drops rows whose key is already present (vectorized searchsorted —
-  the same membership kernel as the flagship's winner filter).
+- ``DedupIndex.table_filter`` broadcasts that array once via ``ray.put``
+  and returns a ``pa.Table → pa.Table`` filter dropping rows whose key is
+  already present (vectorized searchsorted over the key column only);
+  ``filter_new`` maps it over a Dataset.
 - ``append`` writes this run's NEW distinct keys as the next generation;
   the marker commits last, so a killed run leaves no visible garbage and
   a retry re-appends idempotently (key sets are idempotent under union).
@@ -164,6 +165,7 @@ class DedupIndex:
 
     >>> idx = DedupIndex("/data/phash_index")
     >>> fresh = idx.filter_new(ds, key_col="phash")   # drops known keys
+    >>> fresh_t = idx.table_filter("phash")(table)    # the same, on a pa.Table
     >>> deduped = dedup_by_key(fresh, "phash", "image_id")  # in-run dedup
     >>> idx.commit(deduped, key_col="phash")          # next generation
     """
@@ -177,10 +179,10 @@ class DedupIndex:
     def n_keys(self) -> int:
         return len(self._hist)
 
-    def filter_new(self, ds, key_col: str):
-        """Rows whose key is NOT in any committed generation. The sorted
-        key array rides the object store once; membership is vectorized
-        searchsorted per batch."""
+    def table_filter(self, key_col: str):
+        """``pa.Table → pa.Table``: the rows whose key is in no committed
+        generation. The sorted key array rides the object store once; the
+        mask is vectorized searchsorted over ``key_col`` alone."""
         import ray
 
         from ..functions.broadcast import cached_get
@@ -189,15 +191,17 @@ class DedupIndex:
             self._hist_ref = ray.put(self._hist)
         ref = self._hist_ref
 
-        def drop_known(batch: pa.Table) -> pa.Table:
+        def drop_known(t: pa.Table) -> pa.Table:
             hist = cached_get(ref)
             if len(hist) == 0:
-                return batch
-            keys = batch[key_col].to_numpy()
-            pos = np.clip(np.searchsorted(hist, keys), 0, len(hist) - 1)
-            return batch.filter(pa.array(hist[pos] != keys))
+                return t
+            return t.filter(pa.array(~isin_sorted_local(t[key_col].to_numpy(), hist)))
 
-        return ds.map_batches(drop_known, batch_format="pyarrow")
+        return drop_known
+
+    def filter_new(self, ds, key_col: str):
+        """Rows whose key is NOT in any committed generation."""
+        return ds.map_batches(self.table_filter(key_col), batch_format="pyarrow")
 
     def commit(self, ds, key_col: str) -> str:
         """Append the distinct keys of ``ds`` as a new generation (keys

@@ -14,8 +14,10 @@ matches the in-run ``phash_neardup_images`` operating point.
 Mechanism per batch (vectorized, no Python per row): for each of the
 ``n_blocks`` block views, ``searchsorted`` the new signatures' block
 values into the broadcast block-sorted historical array → candidate
-ranges → expand (``repeat``/``arange``) → LUT popcount on the xor →
-per-doc min. A new doc's signature rows never leave the batch.
+ranges → expand (``repeat``/``arange``) → popcount on the xor →
+per-doc min (``reduceat``). One kernel (``_min_hamming``) serves
+``screen`` (pandas tags) and ``table_filter`` (a ``pa.Table → pa.Table``
+filter, mapped by ``filter_new`` and applied in the flagship's tasks).
 
 Scale budget: the broadcast bundle holds the historical signature array
 once per block view (n_blocks + 0 copies of 8 B each) → 4 × 8 B × 1e9
@@ -32,7 +34,9 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
+from ..dedup.simhash import hamming64_pairs
 from .dedup_index import append, compact, load_keys  # noqa: F401  (compact re-exported)
 
 _PARAMS_FILE = "_params.json"
@@ -48,11 +52,35 @@ def _block_views(sigs: np.ndarray, n_blocks: int) -> np.ndarray:
                      for j in range(n_blocks)], axis=1)
 
 
+def _min_hamming(bundle, sigs: np.ndarray) -> np.ndarray:
+    """Per signature, the smallest Hamming distance to a historical one
+    sharing a block (int64 max when none does; exact within the radius
+    by pigeonhole). ``bundle``: what ``HammingIndex._bundle()`` puts."""
+    best = np.full(len(sigs), np.iinfo(np.int64).max, dtype=np.int64)
+    if not len(sigs) or not len(bundle[0][0]):
+        return best
+    views = _block_views(sigs, len(bundle))
+    for j, (sbv, hsig) in enumerate(bundle):
+        lo = np.searchsorted(sbv, views[:, j], side="left")
+        cnt = np.searchsorted(sbv, views[:, j], side="right") - lo
+        hit = np.flatnonzero(cnt)
+        if not len(hit):
+            continue
+        # expand the candidate ranges: row r meets hsig[lo[r]:lo[r] + cnt[r]]
+        n = cnt[hit]
+        ends = np.cumsum(n)
+        cand = hsig[np.arange(ends[-1]) + np.repeat(lo[hit] - (ends - n), n)]
+        d = hamming64_pairs(np.repeat(sigs[hit], n), cand)
+        best[hit] = np.minimum(best[hit], np.minimum.reduceat(d, ends - n))
+    return best
+
+
 class HammingIndex:
     """Incremental cross-run near-dup screen for 64-bit signatures.
 
     >>> idx = HammingIndex("/data/phash_index", radius=2)
     >>> tagged = idx.screen(ds, sig_col="phash")  # + min_hamming, known_neardup
+    >>> fresh = idx.table_filter("phash")(table)  # pa.Table, near-dups dropped
     >>> idx.commit(tagged, sig_col="phash")
     """
 
@@ -77,72 +105,51 @@ class HammingIndex:
         return len(self._hist)
 
     def _bundle(self):
-        """Per-block sorted views of the historical signatures, built once
-        on the driver and broadcast once: (sorted block values, signatures
-        permuted into that order) per block."""
-        views = _block_views(self._hist, self.n_blocks) if len(self._hist) \
-            else np.empty((0, self.n_blocks), dtype=np.uint64)
-        out = []
-        for j in range(self.n_blocks):
-            order = np.argsort(views[:, j], kind="mergesort")
-            out.append((views[order, j], self._hist[order]))
-        return out
+        """Ref to the per-block sorted views of the historical signatures,
+        built once on the driver and broadcast once: (sorted block values,
+        signatures permuted into that order) per block."""
+        import ray
+
+        if self._bundle_ref is None:
+            views = _block_views(self._hist, self.n_blocks) if len(self._hist) \
+                else np.empty((0, self.n_blocks), dtype=np.uint64)
+            orders = [np.argsort(views[:, j], kind="mergesort") for j in range(self.n_blocks)]
+            self._bundle_ref = ray.put([(views[o, j], self._hist[o]) for j, o in enumerate(orders)])
+        return self._bundle_ref
 
     # ------------------------------------------------------------- screen
+
+    def table_filter(self, sig_col: str):
+        """``pa.Table → pa.Table``: the rows with no committed signature
+        within the radius; the mask is built from ``sig_col`` alone."""
+        from ..functions.broadcast import cached_get
+
+        ref, radius = self._bundle(), self.radius
+
+        def drop_near(t: pa.Table) -> pa.Table:
+            best = _min_hamming(cached_get(ref), t[sig_col].to_numpy())
+            return t.filter(pa.array(best > radius))
+
+        return drop_near
 
     def screen(self, ds, sig_col: str):
         """Tag every row with ``min_hamming`` (closest committed signature
         within the radius; -1 when none) and ``known_neardup``. Exact by
         pigeonhole (see module docstring)."""
-        import ray
-
-        from ..dedup.simhash import hamming64_pairs
         from ..functions.broadcast import cached_get
 
-        if self._bundle_ref is None:
-            self._bundle_ref = ray.put(self._bundle())
-        ref = self._bundle_ref
-        radius, n_blocks = self.radius, self.n_blocks
+        ref, radius = self._bundle(), self.radius
 
         def tag(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            bundle = cached_get(ref)
-            sigs = b[sig_col].to_numpy()
-            best = np.full(len(b), np.iinfo(np.int64).max, dtype=np.int64)
-            if len(bundle[0][0]):
-                views = _block_views(sigs, n_blocks)
-                for j in range(n_blocks):
-                    sbv, hsig = bundle[j]
-                    lo = np.searchsorted(sbv, views[:, j], side="left")
-                    hi = np.searchsorted(sbv, views[:, j], side="right")
-                    cnt = hi - lo
-                    hit = cnt > 0
-                    if not hit.any():
-                        continue
-                    # expand candidate ranges: row r contributes cnt[r]
-                    # (query, historical) aligned pairs
-                    rows = np.repeat(np.flatnonzero(hit), cnt[hit])
-                    starts = np.repeat(lo[hit], cnt[hit])
-                    offs = np.arange(len(rows)) - np.repeat(
-                        np.cumsum(np.concatenate([[0], cnt[hit][:-1]])), cnt[hit])
-                    cand = hsig[starts + offs]
-                    d = hamming64_pairs(sigs[rows], cand)
-                    np.minimum.at(best, rows, d)
+            best = _min_hamming(cached_get(ref), b[sig_col].to_numpy())
             found = best <= radius
-            b["min_hamming"] = np.where(found, best, -1)
-            b["known_neardup"] = found
-            return b
+            return b.assign(min_hamming=np.where(found, best, -1), known_neardup=found)
 
         return ds.map_batches(tag, batch_format="pandas")
 
     def filter_new(self, ds, sig_col: str):
         """Rows with no committed signature within the radius."""
-
-        def keep(b: pd.DataFrame) -> pd.DataFrame:
-            return b.loc[~b["known_neardup"]].drop(
-                columns=["min_hamming", "known_neardup"])
-
-        return self.screen(ds, sig_col).map_batches(keep, batch_format="pandas")
+        return ds.map_batches(self.table_filter(sig_col), batch_format="pyarrow")
 
     # ------------------------------------------------------------- commit
 

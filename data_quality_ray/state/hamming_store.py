@@ -28,7 +28,7 @@ import os
 import numpy as np
 import pandas as pd
 
-from ..dedup.simhash import _POPCNT8
+from ..dedup.simhash import hamming64_pairs
 from .hamming_index import _block_views
 
 _PARAMS = "_params.json"
@@ -94,7 +94,7 @@ def hamming_store_matches(store_dir: str, query_ids: np.ndarray,
     """All store rows within Hamming ``radius`` of any query signature
     (exact by pigeonhole — requires ``radius < n_blocks``). Reads ONLY
     the probed partition directories in one Dataset job, joins each
-    batch against the broadcast query block table, verifies by LUT
+    batch against the broadcast query block table, verifies by
     popcount. The match set is radius-bounded tiny, so the cross-block
     uniqueness pass collects (the Dataset route for it is
     ``dedup.minhash.dedup_pairs_dataset``, same keep-cols contract).
@@ -134,9 +134,8 @@ def hamming_store_matches(store_dir: str, query_ids: np.ndarray,
             return pd.DataFrame({"query_id": pd.Series(dtype=qids.dtype),
                                  id_col: pd.Series(dtype=b[id_col].dtype),
                                  "hamming": pd.Series(dtype="int64")})
-        x = (m[sig_col].to_numpy().astype(np.int64).view(np.uint64)
-             ^ m["qsig"].to_numpy().astype(np.int64).view(np.uint64))
-        d = _POPCNT8[x.view(np.uint8).reshape(-1, 8)].sum(axis=1).astype(np.int64)
+        d = hamming64_pairs(m[sig_col].to_numpy().astype(np.int64),
+                            m["qsig"].to_numpy().astype(np.int64))
         keep = d <= radius
         return pd.DataFrame({"query_id": m["query_id"].to_numpy()[keep],
                              id_col: m[id_col].to_numpy()[keep],

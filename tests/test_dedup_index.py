@@ -48,6 +48,32 @@ def test_incremental_dedup_across_runs(ray_session, tmp_path):
     assert len(load_keys(idx_dir)) == n_keys_1 + len(expected_new)
 
 
+def test_table_filter_matches_filter_new(ray_session, tmp_path):
+    """The Arrow filter the flagship applies inside its phase-1 tasks
+    keeps the same rows as ``filter_new`` over the same rows (and as a
+    brute-force membership test), passes every column through, and
+    handles an empty table and an empty index."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from data_quality_ray.state.dedup_index import DedupIndex, append
+
+    rng = np.random.RandomState(11)
+    day1 = _day(rng, 500)
+    append(str(tmp_path / "idx"), day1["phash"].to_numpy())
+    day2 = _day(rng, 400, overlap_keys=day1["phash"].to_numpy(), frac=0.5)
+    t = pa.Table.from_pandas(day2, preserve_index=False)
+    idx = DedupIndex(str(tmp_path / "idx"))
+    got = idx.table_filter("phash")(t)
+    via_ds = idx.filter_new(rd.from_arrow(t).repartition(3), "phash").to_pandas()
+    assert got.schema == t.schema
+    assert sorted(got["image_id"].to_pylist()) == sorted(via_ds["image_id"])
+    assert got.equals(t.filter(pa.array(~np.isin(day2["phash"], day1["phash"]))))
+    assert 0 < got.num_rows < t.num_rows
+    assert idx.table_filter("phash")(t.slice(0, 0)).num_rows == 0
+    assert DedupIndex(str(tmp_path / "empty")).table_filter("phash")(t).equals(t)
+
+
 def test_uncommitted_generation_is_invisible(tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq

@@ -372,6 +372,38 @@ def test_hamming64_pairs_matches_scalar():
                            np.array([], dtype=np.uint64)).shape == (0,)
 
 
+def test_hamming64_pairs_matches_byte_table():
+    """The SWAR popcount equals a byte lookup-table popcount on random
+    values, 0, -1, single bits, the int64 extremes and sign-bit-set
+    inputs, for int64 and uint64 arrays and broadcast (Q, B) shapes."""
+    from data_quality_ray.dedup.simhash import hamming64_pairs
+
+    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+
+    def lut(a, b):
+        x = np.ascontiguousarray(a.view(np.uint64) ^ b.view(np.uint64))
+        return table[x.view(np.uint8)].reshape(*x.shape, 8).sum(axis=-1)
+
+    rng = np.random.RandomState(5)
+    bits = (np.uint64(1) << np.arange(64, dtype=np.uint64)).view(np.int64)
+    edge = np.concatenate([[0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).max], bits,
+                           bits[63] | np.arange(8, dtype=np.int64)]).astype(np.int64)
+    rand = rng.randint(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=2000,
+                       dtype=np.int64)
+    vals = np.concatenate([edge, rand, rand | np.iinfo(np.int64).min])
+    other = np.concatenate([edge[::-1], np.zeros_like(rand), rng.permutation(rand)])
+    for a, b in ((vals, other), (vals, np.zeros_like(vals)), (vals, -np.ones_like(vals))):
+        got = hamming64_pairs(a, b)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, lut(a, b))
+        np.testing.assert_array_equal(hamming64_pairs(a.view(np.uint64), b), got)
+    assert hamming64_pairs(vals, vals).max() == 0
+    q = edge[:6]
+    np.testing.assert_array_equal(hamming64_pairs(q[:, None], vals[None, :]),
+                                  lut(np.broadcast_to(q[:, None], (6, len(vals))),
+                                      np.broadcast_to(vals[None, :], (6, len(vals)))))
+
+
 def test_simhash_batch_matches_scalar():
     from data_quality_ray.dedup.simhash import simhash64, simhash64_batch
 

@@ -65,6 +65,41 @@ def test_screen_matches_bruteforce(ray_session, tmp_path):
     assert (out["min_hamming"].to_numpy()[:20] == 0).all()
 
 
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_table_filter_matches_screen(ray_session, tmp_path, radius):
+    """The Arrow filter keeps exactly the rows the pandas ``screen`` tags
+    ``known_neardup == False``, for signatures at radius − 1, radius and
+    radius + 1 bits from the history, fresh ones, an empty batch and an
+    empty history; every column passes through."""
+    import pyarrow as pa
+
+    rng = np.random.RandomState(radius)
+    hist = rng.randint(-(2**63), 2**63 - 1, size=200, dtype=np.int64)
+    today = np.array([_flip_bits(s, rng.choice(64, k, replace=False))
+                      for k, s in zip([radius - 1] * 30 + [radius] * 30 + [radius + 1] * 30,
+                                      hist[:90])]
+                     + list(rng.randint(-(2**63), 2**63 - 1, size=30, dtype=np.int64)),
+                     dtype=np.int64)
+    t = pa.table({"image_id": np.arange(len(today)), "phash": today,
+                  "payload": [b"x" * i for i in range(len(today))]})
+    idx = HammingIndex(str(tmp_path / "idx"), radius=radius, n_blocks=4)
+    idx.commit(_ds(pd.DataFrame({"image_id": np.arange(len(hist)), "phash": hist})),
+               sig_col="phash")
+    for index in (idx, HammingIndex(str(tmp_path / "empty"), radius=radius)):
+        kept = index.table_filter("phash")(t)
+        tagged = index.screen(_ds(t.to_pandas(), blocks=2), sig_col="phash").to_pandas()
+        assert kept.schema == t.schema
+        assert sorted(kept["image_id"].to_pylist()) == sorted(
+            tagged.loc[~tagged["known_neardup"].astype(bool), "image_id"])
+        assert kept.equals(t.filter(pa.array(np.isin(t["image_id"], kept["image_id"]))))
+        # an empty batch (Ray Data drops the columns of empty blocks, so
+        # the pandas screen cannot be asked about one)
+        assert index.table_filter("phash")(t.slice(0, 0)).equals(t.slice(0, 0))
+    ids = idx.table_filter("phash")(t)["image_id"].to_numpy()
+    assert not np.isin(np.arange(60), ids).any()  # within the radius: dropped
+    assert np.isin(np.arange(60, 120), ids).all()  # one bit past it, or fresh: kept
+
+
 def test_filter_new_and_idempotent_commit(ray_session, tmp_path):
     rng = np.random.RandomState(3)
     sigs = rng.randint(-(2**63), 2**63 - 1, size=100, dtype=np.int64)

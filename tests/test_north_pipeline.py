@@ -269,38 +269,140 @@ def test_phase1_stage_slices_its_block(f1_dir, tmp_path):
 
 
 @pytest.mark.parametrize("stage_mode", ["tasks", "actors"])
-def test_phase1_is_one_fused_operator(ray_session, tmp_path, monkeypatch, stage_mode):
-    """The phase-1 job runs as ONE operator from the parquet read through
-    the stage: a map with a minimum batch size is never fused behind a
-    read, and the payload would then cross the object store. The wave has
-    2 × CPUs files, so the read's block count (2 × CPUs for these few
-    bytes) does not split a file, which Ray does not fuse either."""
-    import glob
-    import re
-
+def test_phase1_runs_without_ray_data(ray_session, f1_dir, tmp_path, monkeypatch, stage_mode):
+    """Phase 1 and the default phase 2 are plain Ray tasks (or actors):
+    a fresh run with the default settings never starts a Ray Data read."""
     import ray.data as rd
 
     from data_quality_ray.pipelines.north import run_quality_pipeline
-    from data_quality_ray.sources.fixtures import write_f1
-    from data_quality_ray.sources.io import cluster_cpus, parquet_bytes, session_block_count
 
-    src = str(tmp_path / "in")
-    write_f1(src, n_rows=64 * 2 * cluster_cpus(), seed=42, rows_per_file=64)
-    files = glob.glob(src + "/part-*.parquet")
-    assert session_block_count(parquet_bytes(pq.read_metadata(f) for f in files)) <= len(files)
+    def no_read(*args, **kwargs):
+        raise AssertionError("ray.data.read_parquet called")
 
-    iterated = []
-    orig = rd.Dataset.iter_batches
+    monkeypatch.setattr(rd, "read_parquet", no_read)
+    stats = run_quality_pipeline(f1_dir, str(tmp_path / "out"), stage_mode=stage_mode)
+    assert stats["n_rows"] == 600 and stats["final_rows"] > 0
 
-    def record(self, *args, **kwargs):
-        iterated.append(self)
-        return orig(self, *args, **kwargs)
 
-    monkeypatch.setattr(rd.Dataset, "iter_batches", record)
-    run_quality_pipeline(src, str(tmp_path / "out"), batch_size=256, stage_mode=stage_mode)
-    ops = re.findall(r"^Operator \d+ (.+?):", iterated[0].stats(), flags=re.M)
-    stage = "_phase1_task" if stage_mode == "tasks" else "Phase1Stage"
-    assert len(ops) == 1 and "ReadParquet" in ops[0] and stage in ops[0], ops
+def test_failed_phase1_frees_its_actors(ray_session, f1_dir, tmp_path):
+    """A unit that raises in ``stage_mode="actors"`` still kills the actor
+    pool, so the session has its CPUs back while the error is handled."""
+    import glob
+    import time
+
+    import ray
+
+    from data_quality_ray.pipelines.north import run_quality_pipeline
+
+    src = tmp_path / "in"
+    src.mkdir()
+    for f in sorted(glob.glob(f1_dir + "/part-*.parquet")):
+        shutil.copy(f, src)
+    bad = pq.read_table(f).drop_columns(["caption"])  # the stage raises on it
+    pq.write_table(bad, src / "part-zzz.parquet")
+    total = ray.cluster_resources()["CPU"]
+    # ``failed`` keeps the failed frame alive, as a caller's handler does
+    with pytest.raises(Exception) as failed:
+        run_quality_pipeline(str(src), str(tmp_path / "out"), concurrency=4,
+                             stage_mode="actors")
+    deadline = time.time() + 30
+    while ray.available_resources().get("CPU", 0) < total and time.time() < deadline:
+        time.sleep(0.2)
+    assert ray.available_resources().get("CPU", 0) == total
+
+
+def _records(out):
+    from data_quality_ray.state.manifest import Manifest
+
+    return sorted(Manifest(out).load(), key=lambda r: r["fragment"])
+
+
+def _filtered_rows(out):
+    import glob
+
+    import pyarrow as pa
+
+    files = glob.glob(out + "/filtered/frag-*/*.parquet")
+    return pa.concat_tables(pq.read_table(f) for f in files).sort_by("image_id")
+
+
+def test_overlapping_id_ranges_keep_their_fragments(ray_session, f1_dir, tmp_path, monkeypatch):
+    """A fragment is its file's position in the sorted input list, not an
+    id range: files whose ``image_id`` ranges overlap (rows dealt out
+    round-robin, shuffled within each file) give the same per-fragment
+    manifest records and ``filtered/`` rows as the same rows written
+    id-sorted — cut into row ranges (3 files, 2 × CPUs units) or read as
+    one unit of whole files — and each record counts exactly its file's
+    rows by the oracle labels."""
+    import glob
+
+    import numpy as np
+    import pyarrow as pa
+
+    from data_quality_ray.pipelines import north
+
+    rows = pa.concat_tables(pq.read_table(f)
+                            for f in sorted(glob.glob(f1_dir + "/part-*.parquet")))
+    labels = pq.read_table(f1_dir + "/_labels.parquet").to_pandas().set_index("image_id")
+    rng = np.random.default_rng(0)
+    for layout in ("overlapping", "sorted"):
+        src = tmp_path / layout
+        src.mkdir()
+        for k in range(3):
+            part = rows.take(np.arange(k, len(rows), 3))
+            part = (part.take(rng.permutation(len(part))) if layout == "overlapping"
+                    else part.sort_by("image_id"))
+            pq.write_table(part, src / f"part-{k:05d}.parquet")
+    outs = [str(tmp_path / name) for name in ("o-ranges", "s-ranges", "o-whole")]
+    north.run_quality_pipeline(str(tmp_path / "overlapping"), outs[0], batch_size=64)
+    north.run_quality_pipeline(str(tmp_path / "sorted"), outs[1], batch_size=64)
+    monkeypatch.setattr(north, "session_block_count", lambda nbytes: 1)
+    north.run_quality_pipeline(str(tmp_path / "overlapping"), outs[2], batch_size=64)
+
+    recs = _records(outs[0])
+    for out in outs[1:]:
+        assert _records(out) == recs
+        assert _filtered_rows(out).equals(_filtered_rows(outs[0]))
+    for k, rec in enumerate(recs):
+        verdicts = labels.loc[rows["image_id"].to_numpy(zero_copy_only=False)[k::3], "verdict"]
+        assert rec["fragment"] == k and rec["n_rows"] == len(verdicts)
+        assert (rec["kept"], rec["dropped"], rec["corrected"]) == tuple(
+            int((verdicts == v).sum()) for v in ("KEEP", "DROP", "CORRECTED"))
+
+
+def test_few_files_split_at_row_groups(ray_session, f1_dir, tmp_path, monkeypatch):
+    """A wave with fewer files than units (2 files, 2 × CPUs units) is cut
+    at row-group boundaries, one task per unit, every row group read by
+    exactly one unit, and gives the same ``filtered/`` rows and manifest
+    records as the same files run as one unit."""
+    import glob
+
+    from data_quality_ray.pipelines import north
+
+    src = tmp_path / "in"
+    src.mkdir()
+    for f in sorted(glob.glob(f1_dir + "/part-*.parquet"))[:2]:
+        pq.write_table(pq.read_table(f), src / os.path.basename(f), row_group_size=40)
+    units = []
+    split = north._phase1_units
+
+    def record(wave):
+        out = split(wave)
+        units.extend(out)
+        return out
+
+    monkeypatch.setattr(north, "_phase1_units", record)
+    north.run_quality_pipeline(str(src), str(tmp_path / "split"), batch_size=64)
+    read = sorted((frag, g) for u in units for frag, _, groups in u for g in groups)
+    files = sorted(glob.glob(str(src / "*.parquet")))
+    assert read == [(i, g) for i, f in enumerate(files)
+                    for g in range(pq.ParquetFile(f).num_row_groups)]
+    assert len(units) >= 4 and all(len(u) == 1 for u in units)  # one row group each
+
+    monkeypatch.setattr(north, "session_block_count", lambda nbytes: 1)
+    north.run_quality_pipeline(str(src), str(tmp_path / "whole"), batch_size=64)
+    assert _records(str(tmp_path / "split")) == _records(str(tmp_path / "whole"))
+    assert _filtered_rows(str(tmp_path / "split")).equals(_filtered_rows(str(tmp_path / "whole")))
 
 
 def test_shuffle_dedup_strategy_matches_broadcast(north_run, f1_dir, tmp_path):
