@@ -5,7 +5,7 @@ Rebuilds dataquality-survivorship's rule functions
 Largest, Longest, MatchRegex, MostAncient, MostCommon, MostComplete,
 MostRecent, RemoveDuplicate, Shortest, Smallest, SurviveAs) as plain
 column reducers — no rule engine, just a closure per rule config —
-executed per group inside ``groupby(gid).map_groups`` (the Drools
+executed per hash bucket of groups through ``bucket_exchange`` (the Drools
 ``runSession(Object[][])`` analog, SurvivorshipManager.java:286).
 
 Every reducer is deterministic: ties break on the smallest value (or the
@@ -22,8 +22,17 @@ import pandas as pd
 from ..functions.exchange import bucket_exchange
 
 
+def _present(s: pd.Series) -> pd.Series:
+    """True where ``s`` holds a value: not null and not blank. Numbers,
+    booleans and dates never print blank, so only other columns pay for
+    the string check."""
+    if s.dtype.kind in "biufcmM":
+        return s.notna()
+    return s.notna() & (s.astype(str).str.strip() != "")
+
+
 def _nonnull(s: pd.Series) -> pd.Series:
-    return s[s.notna() & (s.astype(str).str.strip() != "")]
+    return s[_present(s)]
 
 
 def largest(s: pd.Series):
@@ -180,7 +189,7 @@ def _resolve_bucket_vectorized(b: pd.DataFrame, group_col: str, rules: dict) -> 
     per-group Python callback): each named rule maps to a groupby
     aggregation with deterministic tie-breaks."""
     gb = b.groupby(group_col, sort=True)
-    out = pd.DataFrame({group_col: list(gb.groups)})
+    out = pd.DataFrame({group_col: gb.size().index.tolist()})
     deferred = []  # SurviveAs resolves after its reference column
 
     def _assign(col, res):
@@ -196,7 +205,7 @@ def _resolve_bucket_vectorized(b: pd.DataFrame, group_col: str, rules: dict) -> 
             continue
         extra = [param] if name == "RemoveDuplicate" else []
         s = b[[group_col, col, *extra]].copy()
-        nonnull = s[s[col].notna() & (s[col].astype(str).str.strip() != "")]
+        nonnull = s[_present(s[col])]
         g2 = nonnull.groupby(group_col, sort=True)[col]
         if name in ("Largest", "MostRecent"):
             res = g2.max()
@@ -230,7 +239,7 @@ def _resolve_bucket_vectorized(b: pd.DataFrame, group_col: str, rules: dict) -> 
         winners = out[[group_col, ref]].rename(columns={ref: "__win"})
         m = s.merge(winners, on=group_col)
         m = m[m[ref] == m["__win"]]
-        m = m[m[col].notna() & (m[col].astype(str).str.strip() != "")]
+        m = m[_present(m[col])]
         _assign(col, m.groupby(group_col, sort=True)[col].min())
     return out[[group_col, *rules]]
 
@@ -244,18 +253,20 @@ def golden_records(ds, group_col: str, rules: dict[str, str | tuple],
     hash-bucketed (``bucket_exchange``) and each bucket resolves ALL its
     groups with pandas groupby aggregations — one Python call per bucket
     instead of one per group (the per-tiny-group callback is the classic
-    map_groups scaling trap). Parameterized rules fall back to the
-    per-group path."""
+    map_groups scaling trap). Parameterized rules (MatchRegex,
+    ExcludeValues, FillEmpty) resolve each group of the bucket in turn."""
     def _vec(r):
         if isinstance(r, tuple):
             return r[0] in ("Expression", "RemoveDuplicate", "SurviveAs")
         return r in _VECTOR_RULES
 
-    vectorizable = all(_vec(r) for r in rules.values())
-    if not vectorizable:
-        return ds.groupby(group_col).map_groups(
-            lambda g: _resolve_group(g, group_col, rules), batch_format="pandas")
+    if all(_vec(r) for r in rules.values()):
+        def resolve(b: pd.DataFrame) -> pd.DataFrame:
+            return _resolve_bucket_vectorized(b, group_col, rules)
+    else:
+        def resolve(b: pd.DataFrame) -> pd.DataFrame:
+            return pd.concat([_resolve_group(g, group_col, rules)
+                              for _, g in b.groupby(group_col, sort=True, dropna=False)],
+                             ignore_index=True)
 
-    return bucket_exchange(
-        ds, group_col, lambda b: _resolve_bucket_vectorized(b, group_col, rules),
-        n_buckets)
+    return bucket_exchange(ds, group_col, resolve, n_buckets)

@@ -1,6 +1,8 @@
 """bucket_exchange: every key's rows meet in exactly one callback, at most
-n_buckets callbacks run, the callback never sees the bucket tag — and no
-module outside functions/exchange.py hand-rolls the exchange again."""
+n_buckets callbacks run, the callback never sees the bucket tag or an
+empty frame, degenerate inputs pass through, each exchange records its
+skew — and no module outside functions/exchange.py hand-rolls the
+exchange again."""
 
 import ast
 import os
@@ -9,6 +11,7 @@ import uuid
 import numpy as np
 import pandas as pd
 
+from data_quality_ray.functions import exchange
 from data_quality_ray.functions.exchange import bucket_exchange
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -83,6 +86,109 @@ def test_swapped_two_column_keys_are_distinct(ray_session):
     call = dict(zip(zip(out["a"], out["b"]), out["call"]))
     together = sum(call[(x, x + 1000)] == call[(x + 1000, x)] for x in i)
     assert together < len(i) // 4
+
+
+def test_runs_without_ray_data_groupby(ray_session, monkeypatch):
+    """The exchange is plain Ray tasks: no Ray Data groupby/sort shuffle."""
+    import ray.data as rd
+
+    def no_groupby(*a, **k):
+        raise AssertionError("bucket_exchange called Dataset.groupby")
+
+    monkeypatch.setattr(rd.Dataset, "groupby", no_groupby)
+    monkeypatch.setattr(rd.Dataset, "sort", no_groupby)
+    df = pd.DataFrame({"k": np.arange(200) % 11, "v": np.arange(200)})
+    out = _calls(df, "k", n_buckets=8)
+    assert sorted(out["v"]) == list(range(200))
+    assert _one_call_per_key(out, ["k"])
+
+
+def test_empty_inputs(ray_session):
+    """An empty Dataset gives an empty result without calling fn; a
+    0-row, 0-column block among real ones is skipped."""
+    import ray.data as rd
+
+    def fn(g):
+        raise AssertionError("fn called on an empty input")
+
+    empty = rd.from_pandas(pd.DataFrame({"k": pd.Series([], dtype="int64")}))
+    assert bucket_exchange(empty, "k", fn, 8).count() == 0
+    filtered = rd.range(10).filter(expr="id > 100")
+    assert bucket_exchange(filtered, "id", fn, 8).count() == 0
+
+    def blank_first(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame() if b["k"].iloc[0] == 0 else b
+
+    ds = rd.from_pandas([pd.DataFrame({"k": [0, 1], "v": [1.0, 2.0]}),
+                         pd.DataFrame({"k": [2, 3], "v": [3.0, 4.0]})])
+    out = bucket_exchange(ds.map_batches(blank_first, batch_format="pandas"),
+                          "k", lambda g: g, 8).to_pandas()
+    assert out.sort_values("k").to_dict("list") == {"k": [2, 3], "v": [3.0, 4.0]}
+
+
+def test_fn_never_sees_an_empty_frame(ray_session):
+    """Three keys, up to 64 buckets: most buckets are empty and never
+    reach fn."""
+    import ray.data as rd
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        if g.empty:
+            raise AssertionError("fn called with an empty frame")
+        return g.assign(call=uuid.uuid4().hex)
+
+    df = pd.DataFrame({"k": [7, 8, 9] * 20, "v": np.arange(60)})
+    out = bucket_exchange(rd.from_pandas(df).repartition(4), "k", fn, 64).to_pandas()
+    assert 1 <= out["call"].nunique() <= 3
+    assert sorted(out["v"]) == list(range(60))
+
+
+def test_bucket_count_follows_the_session(ray_session):
+    """At most min(n_buckets, session_block_count(input bytes)) calls:
+    two per session CPU on small inputs, whatever the caller asked for."""
+    import ray.data as rd
+
+    from data_quality_ray.sources.io import session_block_count
+
+    df = pd.DataFrame({"k": np.arange(2000), "v": np.arange(2000)})
+    ds = rd.from_pandas(df).repartition(4).materialize()
+    bound = min(64, session_block_count(ds.size_bytes()))
+    assert bound < 64  # the test session has 4 CPUs
+    out = _calls(df, "k", n_buckets=64)
+    assert 1 <= out["call"].nunique() <= bound
+    assert exchange.RECORD[-1][1] == bound
+
+
+def test_null_and_float_blocks_keep_float_dtype(ray_session):
+    """A column all-null in one block and float in another comes out
+    float64, as it did through Ray Data's sort shuffle."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    ds = rd.from_arrow([
+        pa.table({"k": [1, 2, 3], "x": pa.array([None] * 3, type=pa.null())}),
+        pa.table({"k": [1, 2, 3], "x": [1.5, 2.5, 3.5]}),
+    ])
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return g.assign(seen=str(g["x"].dtype))
+
+    out = bucket_exchange(ds, "k", fn, 8).to_pandas()
+    assert out.dtypes.astype(str).to_dict() == {"k": "int64", "x": "float64", "seen": "object"}
+    assert set(out["seen"]) == {"float64"}
+    assert sorted(out["x"].dropna()) == [1.5, 2.5, 3.5]
+
+
+def test_skew_record(ray_session):
+    """Each exchange records (keys, buckets, rows in, max and median rows
+    per bucket); one key puts every row in one bucket."""
+    df = pd.DataFrame({"k": [5] * 300, "v": np.arange(300)})
+    _calls(df, "k", n_buckets=8)
+    keys, n, rows_in, max_rows, median_rows = exchange.RECORD[-1]
+    assert (keys, rows_in, max_rows) == (("k",), 300, 300)
+    assert 1 <= n <= 8 and median_rows <= max_rows
+    _calls(pd.DataFrame({"a": np.arange(400) % 9, "b": 1, "v": np.arange(400)}), ["a", "b"], 4)
+    keys, n, rows_in, max_rows, _ = exchange.RECORD[-1]
+    assert keys == ("a", "b") and rows_in == 400 and max_rows < 400
 
 
 def _hand_rolled(path: str) -> list[tuple[int, str]]:

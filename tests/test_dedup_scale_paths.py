@@ -782,3 +782,37 @@ def test_hamming_topk_matches_bruteforce(ray_session):
         assert list(mine["id"]) == list(ids[order])
         assert list(mine["hamming"]) == list(d[order])
         assert list(mine["rank"]) == list(range(1, 8))
+
+
+def test_survivorship_parameterized_rules_match_per_group(ray_session):
+    """MatchRegex / ExcludeValues / FillEmpty resolve each group inside
+    the hash-bucketed exchange; the golden records equal Ray Data's
+    per-group ``groupby(gid).map_groups`` over the same rows."""
+    import ray.data as rd
+
+    from data_quality_ray.dedup.survivorship import _resolve_group, golden_records
+
+    rng = np.random.RandomState(11)
+    n = 500
+    df = pd.DataFrame({
+        "gid": rng.randint(0, 60, size=n),
+        "email": rng.choice(["a@x.org", "b@y.com", "bad", "", None], size=n),
+        "city": rng.choice(["NY", "SF", "N/A", "  ", None], size=n),
+        "score": np.where(rng.rand(n) < 0.3, np.nan, np.round(rng.uniform(0, 9, size=n), 1)),
+        "name": rng.choice(["Al", "Albert", "Bo", None], size=n),
+    })
+    rules = {
+        "email": ("MatchRegex", r"^[a-z]+@"),
+        "city": ("ExcludeValues", ["N/A"]),
+        "score": ("FillEmpty", -1.0),
+        "name": "Longest",
+    }
+    ds = rd.from_pandas(df).repartition(5)
+    got = golden_records(ds, "gid", rules).to_pandas()
+    want = ds.groupby("gid").map_groups(
+        lambda g: _resolve_group(g, "gid", rules), batch_format="pandas").to_pandas()
+    got = got.sort_values("gid").reset_index(drop=True)
+    want = want.sort_values("gid").reset_index(drop=True)
+    assert list(got.columns) == list(want.columns)
+    assert got.dtypes.to_dict() == want.dtypes.to_dict()
+    pd.testing.assert_frame_equal(got, want)

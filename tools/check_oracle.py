@@ -2,11 +2,17 @@
 ``queries()`` entry and its ``oracle_sql()`` side by side, compare
 row-count, column names and order-insensitive values.
 
-Usage: python tools/check_oracle.py [sf_dir] [query ...]
+Usage: python tools/check_oracle.py [--force-path collect|shuffle] [sf_dir] [query ...]
+
+``--force-path`` sends every size gate (``functions/gate.fits``) down one
+path by patching ``gate.LIMITS`` in-process, as the tests' ``force_path``
+fixture does, so each dual-path query is checked on that path; a query
+whose gates did not all take it fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import atexit
 import os
 import shutil
@@ -49,9 +55,19 @@ def to_pandas(obj) -> pd.DataFrame:
 
 
 def main() -> int:
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
-    only = set(sys.argv[2:])
+    ap = argparse.ArgumentParser()
+    ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.001")
+    ap.add_argument("queries", nargs="*")
+    ap.add_argument("--force-path", choices=("collect", "shuffle"))
+    args = ap.parse_args()
+    sf_dir, only = args.sf_dir, set(args.queries)
     import ray
+
+    from data_quality_ray.functions import gate
+
+    if args.force_path:
+        limit = {"collect": sys.maxsize, "shuffle": -1}[args.force_path]
+        gate.LIMITS = dict.fromkeys(gate.LIMITS, limit)
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
@@ -71,10 +87,16 @@ def main() -> int:
     for name, fn in qs.items():
         if only and name not in only:
             continue
+        gate.RECORD.clear()
         try:
             mine = to_pandas(fn(sf_dir))
         except Exception as e:
             print(f"FAIL  {name}: query raised {type(e).__name__}: {e}")
+            failures += 1
+            continue
+        off_path = [d for d in gate.RECORD if d[3] != args.force_path] if args.force_path else []
+        if off_path:
+            print(f"FAIL  {name}: gates off the forced {args.force_path!r} path: {off_path}")
             failures += 1
             continue
         if name not in sqls:
