@@ -83,7 +83,7 @@ def run_bench() -> dict:
     os.makedirs(warm_in)
     for f in sorted(glob.glob(f"{fixture}/part-*.parquet"))[:2]:
         os.symlink(f, os.path.join(warm_in, os.path.basename(f)))
-    run_quality_pipeline(warm_in, warm_out, concurrency=(2, NUM_CPUS), batch_size=1024)
+    run_quality_pipeline(warm_in, warm_out, batch_size=1024)
     shutil.rmtree(warm_in, ignore_errors=True)
     shutil.rmtree(warm_out, ignore_errors=True)
 
@@ -99,9 +99,7 @@ def run_bench() -> dict:
     for _ in range(max(1, best_of)):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        run_stats.append(run_quality_pipeline(fixture, out_dir,
-                                              concurrency=(2, NUM_CPUS),
-                                              batch_size=1024))
+        run_stats.append(run_quality_pipeline(fixture, out_dir, batch_size=1024))
         runs.append(round(time.perf_counter() - t0, 3))
     headline = min(runs)
     stats = run_stats[runs.index(headline)]  # the ledger of the headline run

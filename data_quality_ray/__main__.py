@@ -1,7 +1,7 @@
 """CLI: run the north quality-filter pipeline (with resume).
 
     python -m data_quality_ray run INPUT_DIR OUT_DIR [--cpus N]
-        [--batch-size B] [--concurrency C] [--no-dedup] [--no-validate]
+        [--batch-size B] [--no-dedup] [--no-validate]
     python -m data_quality_ray gen OUT_DIR N_ROWS [--seed S]
 
 Owns a Ray session (scripts own sessions; library code never calls
@@ -71,6 +71,8 @@ def _profile_table(args) -> dict:
 
 
 def main(argv=None) -> int:
+    from .pipelines.north import BATCH_SIZE, run_quality_pipeline
+
     p = argparse.ArgumentParser(prog="data_quality_ray")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -78,15 +80,16 @@ def main(argv=None) -> int:
     runp.add_argument("input_dir")
     runp.add_argument("out_dir")
     runp.add_argument("--cpus", type=int, default=32)
-    runp.add_argument("--batch-size", type=int, default=1024)
-    runp.add_argument("--concurrency", type=int, default=0, help="actor pool size (0 → task mode)")
+    runp.add_argument("--batch-size", type=int, default=BATCH_SIZE,
+                      help="most rows one rule-chain/decode call sees")
     runp.add_argument("--wave-files", type=int, default=64)
     runp.add_argument("--no-dedup", action="store_true")
     runp.add_argument("--no-validate", action="store_true")
     runp.add_argument("--dedup-index", default=None,
                       help="cross-run dedup index dir (drop keys committed by previous runs)")
     runp.add_argument("--validate-inputs", action="store_true",
-                      help="footer-check fragments first; skip+record torn files instead of failing")
+                      help="skip+record files whose parquet footer does not read, "
+                           "instead of failing")
     runp.add_argument("--address", default="local",
                       help="Ray address ('local', or 'auto' inside a cluster / ray job submit)")
 
@@ -111,7 +114,8 @@ def main(argv=None) -> int:
 
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         addr = getattr(args, "address", "local")
         if addr == "local":
             ray.init(address="local", num_cpus=args.cpus, include_dashboard=False,
@@ -128,20 +132,17 @@ def main(argv=None) -> int:
         elif args.cmd == "profile":
             print(json.dumps(_profile_table(args), default=str, indent=1))
         else:
-            from .pipelines.north import run_quality_pipeline
-
             stats = run_quality_pipeline(
                 args.input_dir, args.out_dir,
-                concurrency=(2, args.concurrency) if args.concurrency else 4,
                 batch_size=args.batch_size, wave_files=args.wave_files,
                 dedup=not args.no_dedup, validate_images=not args.no_validate,
-                stage_mode="actors" if args.concurrency else "tasks",
                 dedup_index_dir=args.dedup_index,
                 validate_inputs=args.validate_inputs,
             )
             print(json.dumps(stats))
     finally:
-        ray.shutdown()
+        if started:  # a session the caller started is the caller's to end
+            ray.shutdown()
     return 0
 
 

@@ -4,9 +4,9 @@ Reference precedent: blocking-key grouping with a deterministic
 representative (dataquality-record-linkage genkey/BlockingKeyHandler.java:27-135
 + grouping/AbstractRecordGrouping.java:201-254 master-record selection).
 
-Scale notes: ``groupby(key)`` is the only shuffle. The per-group reduce is
-"min(order_col) wins" — order-insensitive, so it admits partial
-pre-aggregation inside each batch before the shuffle (we first reduce each
+Scale notes: the per-key Min over (key, order) is the only exchange. The
+reduce is "min(order_col) wins" — order-insensitive, so it admits partial
+pre-aggregation inside each batch before the exchange (we first reduce each
 batch to one candidate row per key, shrinking the exchange by the in-batch
 duplication factor — the StringsClusterAnalyzer.blockSizeThreshold:57,85
 early-reduction idea).
@@ -18,25 +18,15 @@ import numpy as np
 import pandas as pd
 
 
-def _keep_first(g: pd.DataFrame, order_col: str) -> pd.DataFrame:
-    return g.sort_values(order_col, kind="mergesort").head(1)
-
-
-def dedup_by_key(ds, key: str, order_col: str, strategy: str = "aggregate",
-                 winners_from=None):
+def dedup_by_key(ds, key: str, order_col: str):
     """One surviving row per distinct ``key`` — the row with the minimal
     ``order_col`` (deterministic representative).
 
-    Strategies:
-    - "aggregate" (default): batch pre-dedup → native vectorized
-      ``groupby(key).aggregate(Min(order_col))`` (shuffles only the two key
-      columns) → broadcast the surviving (key, order) pair-set via
-      ``ray.put`` → membership filter. Orders of magnitude faster than a
-      per-group Python callback; the broadcast set is #distinct-keys sized
-      — for key spaces too large for one broadcast, fall back to
-      "map_groups" (fully shuffled, no driver-side state).
-    - "map_groups": groupby(key).map_groups(keep-first) — streams
-      everything through the shuffle; no broadcast.
+    Batch pre-dedup → ``Min(order_col)`` per key over the two key columns
+    only (``grouped_aggregate``) → broadcast the surviving (key, order)
+    pairs as sorted arrays via ``ray.put`` → membership filter. Orders of
+    magnitude faster than a per-group Python callback; the broadcast is
+    #distinct-keys sized, so the winner set must fit driver memory.
 
     ``order_col`` must be unique per row (a row id): the winner filter
     admits every row whose (key, order) equals the per-key minimum, so
@@ -63,16 +53,10 @@ def dedup_by_key(ds, key: str, order_col: str, strategy: str = "aggregate",
         return batch.take(pa.array(np.sort(idx[first])))
 
     pre_ds = ds.map_batches(pre, batch_format="pyarrow")
-    if strategy == "map_groups":
-        return pre_ds.groupby(key).map_groups(
-            lambda g: _keep_first(g, order_col), batch_format="pandas"
-        )
 
     import ray
 
-    # the winners pass needs only (key, order): callers with a re-readable
-    # source should pass a column-pruned ``winners_from`` dataset so the
-    # wide payload (image bytes) isn't scanned twice. The min-merge goes
+    # the winners pass needs only (key, order). The min-merge goes
     # through grouped_aggregate's measured-size gate (final="auto"): the
     # winner set lands on the driver for the broadcast regardless, so a
     # bucketed exchange only pays off once the partial count exceeds the
@@ -81,9 +65,8 @@ def dedup_by_key(ds, key: str, order_col: str, strategy: str = "aggregate",
     # either way, 43 s at 235k keys measured vs ~1 s bucketed)
     from ..profiling.groupagg import grouped_aggregate
 
-    wsrc = winners_from if winners_from is not None else pre_ds.select_columns([key, order_col])
-    winners = grouped_aggregate(wsrc, [key], {"__win": (order_col, "min")},
-                                final="auto")
+    winners = grouped_aggregate(pre_ds.select_columns([key, order_col]), [key],
+                                {"__win": (order_col, "min")}, final="auto")
     if not isinstance(winners, pd.DataFrame):
         winners = winners.to_pandas()
     # sorted winner ARRAYS (not a set of tuples): numpy arrays ride the

@@ -142,8 +142,8 @@ def minhash_bands(ds, id_col: str, text_col: str, n_perm: int = 64, bands: int =
     (compact shuffle key), and the raw "v|v|v|v" slice string in "md5"
     mode (lets the SQL oracle reproduce the bucket key verbatim).
 
-    Runs as TASKS with a per-worker-process hasher cache (the north.py
-    stage_mode="tasks" pattern) — the hasher is cheap to build, and an
+    Runs as TASKS with a per-worker-process hasher cache (the pattern of
+    north.py's phase-1 tasks) — the hasher is cheap to build, and an
     actor pool's spin-up dominates small jobs."""
     rows_per_band = n_perm // bands
 

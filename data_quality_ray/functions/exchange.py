@@ -24,6 +24,11 @@ merge task per bucket concatenates its parts and calls ``fn`` once
   The low bits of the combined multi-column hash are poorly mixed:
   ``h % 8`` puts 75 of 200 swapped ``(a, b)``/``(b, a)`` pairs in one
   bucket, ``(h >> 32) % 8`` 24 (chance is 25).
+- **Key dtypes.** An integral finite float key value hashes as the int
+  it equals. An Arrow int column with nulls converts to float64 only in
+  the blocks that hold a null, so without this the key ``3`` of an int64
+  block and the ``3.0`` of a float64 block would land in different
+  buckets (0 and 5 of 8).
 - **Skew.** Each exchange appends ``(keys, n, rows_in, max_bucket_rows,
   median_bucket_rows)`` to the bounded ``RECORD``, from the per-bucket
   input counts the merge tasks return.
@@ -41,8 +46,26 @@ from collections import deque
 import numpy as np
 import pandas as pd
 import ray
+from pandas.core.util.hashing import combine_hash_arrays
 
 RECORD: deque = deque(maxlen=1024)
+
+
+def _key_hash(b: pd.DataFrame, keys: list[str]) -> np.ndarray:
+    """``hash_pandas_object(b[keys], index=False)``, column by column,
+    with each integral finite float value hashed as its int64 value. The
+    columns combine as pandas combines a frame's, so a key without float
+    columns gets exactly pandas' frame hash."""
+    cols = []
+    for c in keys:
+        h = pd.util.hash_pandas_object(b[c], index=False).to_numpy()
+        v = b[c].to_numpy()
+        if v.dtype.kind == "f":
+            whole = (v == np.round(v)) & (v >= -2.0**63) & (v < 2.0**63)  # False on NaN/inf
+            if whole.any():
+                h[whole] = pd.util.hash_array(v[whole].astype(np.int64))
+        cols.append(h)
+    return combine_hash_arrays(iter(cols), len(cols))
 
 
 @ray.remote
@@ -55,7 +78,7 @@ def _split(block, keys: list[str], n: int):
     if not len(b):  # possibly a 0-column block: nothing to hash
         parts = [b] * n
     else:
-        h = pd.util.hash_pandas_object(b[keys], index=False).to_numpy()
+        h = _key_hash(b, keys)
         bucket = (h >> np.uint64(32)) % np.uint64(n)
         order = np.argsort(bucket, kind="stable")
         cuts = np.searchsorted(bucket[order], np.arange(1, n, dtype=np.uint64))

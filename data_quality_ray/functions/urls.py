@@ -113,12 +113,11 @@ def add_canonical_url(ds, url_col: str, canon_col: str = "url_canon",
     return ds.map_batches(stage, batch_format="pandas")
 
 
-def url_dedup(ds, url_col: str, id_col: str, **dedup_kw):
+def url_dedup(ds, url_col: str, id_col: str):
     """Canonical-URL dedup: canonicalize (stateless pass), drop invalid
     URLs, keep the minimal ``id_col`` row per canonical URL via the
     scale-gated ``dedup_by_key`` machinery (batch pre-dedup → key-only
-    Min exchange → broadcast winners; ``strategy='map_groups'`` for
-    key spaces beyond a broadcast)."""
+    Min exchange → broadcast winners)."""
     from ..dedup.exact import dedup_by_key
 
     tagged = add_canonical_url(ds, url_col)
@@ -128,7 +127,7 @@ def url_dedup(ds, url_col: str, id_col: str, **dedup_kw):
     # pass); materialize so the canonicalization doesn't re-execute —
     # measured 7.3 → 2.9 s at sf0.1 (the lazy-re-execution trap)
     tagged = tagged.materialize()
-    return dedup_by_key(tagged, key="url_canon", order_col=id_col, **dedup_kw)
+    return dedup_by_key(tagged, key="url_canon", order_col=id_col)
 
 
 def domain_cap(ds, url_col: str, id_col: str, cap: int, seed: int = 42,

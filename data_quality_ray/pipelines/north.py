@@ -1,9 +1,9 @@
 """The end-to-end north-star pipeline with lineage + exact resume.
 
-Phase 1 — plain Ray tasks (or ``Phase1Stage`` actors), no Ray Data job,
-one per unit of work (``_phase1_units``: runs of whole files, or runs
-of row groups when a wave has fewer files than units), so payload bytes go
-from the file to the stage inside one task, never via the object store:
+Phase 1 — plain Ray tasks, no Ray Data job, one per unit of work
+(``_phase1_units``: runs of whole files, or runs of row groups when a
+wave has fewer files than units), so payload bytes go from the file to
+the stage inside one task, never via the object store:
     read the unit (``pyarrow.parquet``); ``fragment`` = the file's
         POSITION in the sorted input list
       → cross-run index screens: Arrow table filters over ``phash``
@@ -41,6 +41,7 @@ bytes are already compressed — re-encoding burned 6× the write CPU).
 from __future__ import annotations
 
 import glob
+import json
 import os
 import shutil
 import time
@@ -89,10 +90,6 @@ class Phase1Stage:
         self.filtered_dir = filtered_dir
         self.validate_images = validate_images
         self.batch_size = batch_size
-
-    def run(self, unit: list[tuple[int, str, list[int]]], screens: list) -> pa.Table:
-        """The stage over one ``_phase1_units`` unit, read and screened here."""
-        return self(_read_unit(unit, screens))
 
     def _validate(self, batch: pa.Table, verdict: np.ndarray, first_rule: np.ndarray,
                   ns: dict[str, int]) -> None:
@@ -207,40 +204,16 @@ _STAGE_CACHE: dict = {}
 
 def _phase1_task(unit: list[tuple[int, str, list[int]]], screens: list, filtered_dir: str,
                  validate_images: bool, batch_size: int) -> pa.Table:
-    """Task-mode phase-1 body: the stage object (rule chain + models) is
-    built once per WORKER PROCESS and cached at module level — Ray reuses
-    worker processes across tasks and runs, so task mode never spawns an
-    actor pool. Right when model setup is cheap (here: ~20 ms); for
-    heavy models (real fastText / KenLM binaries) use stage_mode='actors'
-    so setup amortizes per actor instead of per process."""
+    """Phase-1 task body over one ``_phase1_units`` unit: its rows plus
+    ``fragment``, through ``screens`` (``pa.Table → pa.Table`` filters),
+    then the stage. The stage object (rule chain + models) is built once
+    per WORKER PROCESS and cached at module level — Ray reuses worker
+    processes across tasks and runs, and model setup is cheap (~20 ms)."""
     key = (filtered_dir, validate_images, batch_size)
     stage = _STAGE_CACHE.get(key)
     if stage is None:
         stage = _STAGE_CACHE[key] = Phase1Stage(filtered_dir, validate_images=validate_images,
                                                 batch_size=batch_size)
-    return stage.run(unit, screens)
-
-
-def _phase1_units(wave: list[tuple[int, str]]) -> list[list[tuple[int, str, list[int]]]]:
-    """``session_block_count(wave bytes)`` units of work, each a list of
-    ``(fragment, path, row groups)``: runs of whole contiguous files, or —
-    when the wave has fewer files than units — runs of contiguous row
-    groups, at most one unit per row group, so no byte is read twice."""
-    footers = [pq.read_metadata(p) for _, p in wave]
-    n = session_block_count(parquet_bytes(footers))
-    if len(wave) >= n:
-        items = [(frag, path, list(range(md.num_row_groups)))
-                 for (frag, path), md in zip(wave, footers)]
-    else:
-        items = [(frag, path, [g]) for (frag, path), md in zip(wave, footers)
-                 for g in range(md.num_row_groups)]
-    return [[items[i] for i in idx]
-            for idx in np.array_split(np.arange(len(items)), n) if len(idx)]
-
-
-def _read_unit(unit: list[tuple[int, str, list[int]]], screens: list) -> pa.Table:
-    """The unit's rows plus ``fragment``, through ``screens`` (``pa.Table
-    → pa.Table`` filters)."""
     parts = []
     for frag, path, groups in unit:
         with pq.ParquetFile(path) as f:
@@ -249,7 +222,34 @@ def _read_unit(unit: list[tuple[int, str, list[int]]], screens: list) -> pa.Tabl
     t = pa.concat_tables(parts, promote_options="default")
     for screen in screens:
         t = screen(t)
-    return t
+    return stage(t)
+
+
+def _phase1_units(wave: list[tuple[int, str]],
+                  skipped: list[dict] | None = None) -> list[list[tuple[int, str, list[int]]]]:
+    """``session_block_count(wave bytes)`` units of work, each a list of
+    ``(fragment, path, row groups)``: runs of whole contiguous files, or —
+    when the wave has fewer files than units — runs of contiguous row
+    groups, at most one unit per row group, so no byte is read twice.
+
+    A footer that fails to read raises, unless ``skipped`` is a list: then
+    the file gets a skip record there and no unit."""
+    readable = []
+    for frag, path in wave:
+        try:
+            readable.append((frag, path, pq.read_metadata(path)))
+        except (pa.ArrowException, OSError) as e:  # torn, truncated or unreadable
+            if skipped is None:
+                raise
+            skipped.append({"fragment": frag, "file": path, "error": f"{type(e).__name__}: {e}"})
+    n = session_block_count(parquet_bytes(md for _, _, md in readable))
+    if len(readable) >= n:
+        items = [(frag, path, list(range(md.num_row_groups))) for frag, path, md in readable]
+    else:
+        items = [(frag, path, [g]) for frag, path, md in readable
+                 for g in range(md.num_row_groups)]
+    return [[items[i] for i in idx]
+            for idx in np.array_split(np.arange(len(items)), n) if len(idx)]
 
 
 def _bounded(submit, items):
@@ -268,61 +268,21 @@ def _bounded(submit, items):
         yield ray.get(ready[0])
 
 
-def _validate_fragment_files(files: list[str]) -> tuple[set[int], list[dict]]:
-    """Footer-check every fragment in parallel Ray tasks (metadata-only
-    read — bytes, not payload). Returns (skip index set, skip records).
-    A torn/truncated parquet raises in the check instead of killing the
-    run mid-wave."""
-    import ray
-
-    @ray.remote(num_cpus=0.25)
-    def check(batch: list[tuple[int, str]]) -> list[tuple[int, str]]:
-        import pyarrow.parquet as pq
-
-        bad = []
-        for i, f in batch:
-            try:
-                pq.read_metadata(f)
-            except Exception as e:  # noqa: BLE001 — any unreadable footer
-                bad.append((i, f"{type(e).__name__}: {e}"))
-        return bad
-
-    items = list(enumerate(files))
-    chunk = max(64, len(items) // 256)  # ≤ ~256 tasks regardless of count
-    refs = [check.remote(items[i:i + chunk])
-            for i in range(0, len(items), chunk)]
-    skip_idx: set[int] = set()
-    records: list[dict] = []
-    for bad in ray.get(refs):
-        for i, err in bad:
-            skip_idx.add(i)
-            records.append({"fragment": i, "file": files[i], "error": err})
-    return skip_idx, records
-
-
-def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple = (1, 4),
+def run_quality_pipeline(input_dir: str, out_dir: str,
                          batch_size: int = BATCH_SIZE, wave_files: int = 64,
                          dedup: bool = True, validate_images: bool = True,
-                         stage_mode: str = "tasks",
-                         dedup_strategy: str = "broadcast",
                          dedup_index_dir: str | None = None,
                          neardup_index_dir: str | None = None,
                          neardup_radius: int = 2,
                          final_output: str = "rewrite",
-                         manifest_shard_size: int = 0,
                          validate_inputs: bool = False,
                          ar_batch_size: int | None = None,
                          ar_buckets=None) -> dict:
     """Run (or resume) the full pipeline. Returns run-level metrics.
 
-    ``concurrency``: in ``stage_mode="actors"`` the number of
-    ``Phase1Stage`` actors, capped at the session's CPUs and the wave's
-    unit count; of a ``(min, max)`` tuple only the largest value counts
-    (the pool does not autoscale). Task mode ignores it.
-
-    ``dedup_strategy``: "broadcast" (default — winner map fits driver
-    memory; SCALE.md capacity assumption) or "shuffle" (unbounded key
-    spaces: groupby(phash).map_groups keep-first, no driver-side state).
+    Phase 2 merges the winner map (one (phash, image_id) pair per distinct
+    surviving phash) on the driver and broadcasts it: it must fit driver
+    memory (SCALE.md capacity assumption).
 
     ``dedup_index_dir``: optional cross-RUN dedup index
     (state/dedup_index.py). Rows whose phash was committed by a previous
@@ -340,12 +300,14 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     guarantees as ``dedup_index_dir``; both indexes can run together
     (exact first — it's cheaper — then the Hamming screen).
 
-    ``validate_inputs``: footer-check every input fragment in parallel
-    Ray tasks before the run and SKIP unreadable (torn/truncated) files
-    instead of failing the whole job — each skip is recorded in the
+    ``validate_inputs``: SKIP input files whose parquet footer does not
+    read (torn/truncated) instead of failing the whole job. Phase 1 reads
+    every footer anyway to plan its units; each skip is recorded in the
     run's ``skipped_inputs.jsonl`` lineage file and surfaced in the
-    returned metrics. At 100 TB a single corrupt object must not kill a
-    multi-hour run; the record keeps the skip auditable and re-runnable.
+    returned metrics. Fragment ids stay positions in the sorted file
+    list, so a fixed file keeps its id and a later run resumes it. At
+    100 TB a single corrupt object must not kill a multi-hour run; the
+    record keeps the skip auditable and re-runnable.
 
     ``final_output``: "rewrite" (default) re-writes the deduped survivors
     under ``out_dir/final``; "metadata" skips the second full payload
@@ -357,7 +319,6 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     to the rewrite path (parity-tested).
     """
     import ray
-    from ray.util import ActorPool
 
     phase_s = dict.fromkeys(RUN_PHASES, 0.0)
     mark = time.perf_counter()
@@ -384,28 +345,9 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     screens = [ix.table_filter("phash") for ix in (index, hidx) if ix is not None and ix.n_keys]
     lap("screen_setup")
 
-    # shard the manifest directory past ~10^5 fragments (flat listing is
-    # O(#fragments)); both layouts read interchangeably, so resume works
-    # across a setting change
-    manifest = Manifest(out_dir, shard_size=manifest_shard_size)
-    files = _fragment_files(input_dir)
-    skipped_inputs: list[dict] = []
-    skip_idx: set[int] = set()
-    if validate_inputs and files:
-        # fragment ids are POSITIONS in the sorted file list — skipping
-        # must never renumber, or a later resume would misattribute
-        # completed fragments; a fixed file keeps its original id
-        skip_idx, skipped_inputs = _validate_fragment_files(files)
-        if skipped_inputs:
-            import json as _json
-
-            os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, "skipped_inputs.jsonl"), "a") as f:
-                for rec in skipped_inputs:
-                    f.write(_json.dumps(rec) + "\n")
+    manifest = Manifest(out_dir)
     done = manifest.completed_fragments()
-    pending = [(i, f) for i, f in enumerate(files)
-               if i not in done and i not in skip_idx]
+    pending = [(i, f) for i, f in enumerate(_fragment_files(input_dir)) if i not in done]
     filtered_dir = os.path.join(out_dir, "filtered")
     os.makedirs(filtered_dir, exist_ok=True)
     lap("inputs")
@@ -414,73 +356,56 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
     stage_ns = dict.fromkeys(PHASE1_STAGES, 0)
     stage_kwargs = {"filtered_dir": filtered_dir, "validate_images": validate_images,
                     "batch_size": batch_size}
-    task, actor, actors = ray.remote(_phase1_task), ray.remote(num_cpus=1)(Phase1Stage), []
-    try:
-        for w in range(0, len(pending), wave_files):
-            wave = pending[w : w + wave_files]
-            for frag_id, _ in wave:  # clear stale partial output (uncommitted)
-                shutil.rmtree(_frag_dir(filtered_dir, frag_id), ignore_errors=True)
-            units = _phase1_units(wave)
-            if stage_mode == "actors":
-                # never more actors than the session can place: a pool waiting
-                # for a CPU that does not exist waits forever
-                cap = min(max(np.atleast_1d(concurrency)), cluster_cpus(), len(units))
-                while len(actors) < cap:
-                    actors.append(actor.remote(**stage_kwargs))
-                results = ActorPool(actors).map_unordered(
-                    lambda a, u: a.run.remote(u, screens), units)
-            else:
-                results = _bounded(lambda u: task.remote(u, screens, **stage_kwargs), units)
-            tally: dict[tuple[int, str], int] = {}
-            for b in results:
-                kmask = b["key"].is_valid()
-                tb = b.filter(kmask)
-                for frag, key, n in zip(tb["fragment"].to_pylist(), tb["key"].to_pylist(),
-                                        tb["n"].to_pylist()):
-                    tally[(frag, key)] = tally.get((frag, key), 0) + n
-                wb = b.filter(pc.invert(kmask))
-                if len(wb):  # winner partials stay numpy; merged vectorized below
-                    win_parts.append((wb["phash"].to_numpy(),
-                                      wb["win_id"].to_numpy(zero_copy_only=False)))
-            for stage in PHASE1_STAGES:
-                stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
-            lap("phase1")
-            src = dict(wave)
-            for frag_id, _ in wave:
-                agg = {k: v for (f, k), v in tally.items() if f == frag_id}
-                manifest.commit({
-                    "fragment": int(frag_id),
-                    "source_file": os.path.basename(src[frag_id]),
-                    "n_rows": int(sum(v for k, v in agg.items() if k.startswith("verdict:"))),
-                    "kept": int(agg.get("verdict:KEEP", 0)),
-                    "dropped": int(agg.get("verdict:DROP", 0)),
-                    "corrected": int(agg.get("verdict:CORRECTED", 0)),
-                    "rule_hits": {k.split(":", 1)[1]: int(v) for k, v in agg.items()
-                                  if k.startswith("rule:") and k != "rule:"},
-                    "output_path": f"filtered/frag-{frag_id:06d}",
-                })
-            lap("manifest")
-    finally:  # their CPUs go back to phase 2, or to a caller's retry
-        for a in actors:
-            ray.kill(a)
+    n_skipped = 0
+    task = ray.remote(_phase1_task)
+    for w in range(0, len(pending), wave_files):
+        wave = pending[w : w + wave_files]
+        for frag_id, _ in wave:  # clear stale partial output (uncommitted)
+            shutil.rmtree(_frag_dir(filtered_dir, frag_id), ignore_errors=True)
+        skipped = [] if validate_inputs else None
+        units = _phase1_units(wave, skipped)
+        if skipped:  # no unit, no manifest record: a later run retries the file
+            with open(os.path.join(out_dir, "skipped_inputs.jsonl"), "a") as f:
+                f.writelines(json.dumps(rec) + "\n" for rec in skipped)
+            n_skipped += len(skipped)
+            bad = {rec["fragment"] for rec in skipped}
+            wave = [(frag_id, path) for frag_id, path in wave if frag_id not in bad]
+        tally: dict[tuple[int, str], int] = {}
+        for b in _bounded(lambda u: task.remote(u, screens, **stage_kwargs), units):
+            kmask = b["key"].is_valid()
+            tb = b.filter(kmask)
+            for frag, key, n in zip(tb["fragment"].to_pylist(), tb["key"].to_pylist(),
+                                    tb["n"].to_pylist()):
+                tally[(frag, key)] = tally.get((frag, key), 0) + n
+            wb = b.filter(pc.invert(kmask))
+            if len(wb):  # winner partials stay numpy; merged vectorized below
+                win_parts.append((wb["phash"].to_numpy(),
+                                  wb["win_id"].to_numpy(zero_copy_only=False)))
+        for stage in PHASE1_STAGES:
+            stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
+        lap("phase1")
+        for frag_id, path in wave:
+            agg = {k: v for (f, k), v in tally.items() if f == frag_id}
+            manifest.commit({
+                "fragment": int(frag_id),
+                "source_file": os.path.basename(path),
+                "n_rows": int(sum(v for k, v in agg.items() if k.startswith("verdict:"))),
+                "kept": int(agg.get("verdict:KEEP", 0)),
+                "dropped": int(agg.get("verdict:DROP", 0)),
+                "corrected": int(agg.get("verdict:CORRECTED", 0)),
+                "rule_hits": {k.split(":", 1)[1]: int(v) for k, v in agg.items()
+                              if k.startswith("rule:") and k != "rule:"},
+                "output_path": f"filtered/frag-{frag_id:06d}",
+            })
+        lap("manifest")
 
     totals = manifest.totals()
     totals["phase1_stage_s"] = {k: v / 1e9 for k, v in stage_ns.items()}
-    if skipped_inputs:
-        totals["skipped_inputs"] = len(skipped_inputs)
+    if n_skipped:
+        totals["skipped_inputs"] = n_skipped
     lap("manifest")
     final_dir = os.path.join(out_dir, "final")
-    if dedup and dedup_strategy == "shuffle":
-        from ..dedup.exact import dedup_by_key
-
-        shutil.rmtree(final_dir, ignore_errors=True)
-        survivors = read_parquet_sized(filtered_dir).map_batches(_surviving, batch_format="pyarrow")
-        deduped = dedup_by_key(survivors, key="phash", order_col="image_id",
-                               strategy="map_groups")
-        deduped.write_parquet(final_dir, **_PAYLOAD_WRITE_ARGS)
-        totals["final_rows"] = read_parquet_sized(final_dir).count()
-        lap("final")
-    elif dedup:
+    if dedup:
         # winners for fragments committed in PREVIOUS runs (resume path):
         # read their key columns only, merge into the winner partials
         if done:
@@ -489,7 +414,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
                 for f in sorted(glob.glob(os.path.join(_frag_dir(filtered_dir, frag), "*.parquet")))
             ]
             if prev_files:
-                _merge_winners_from_disk(prev_files, win_parts)
+                _merge_committed_winners(prev_files, win_parts)
         wp, wi = _finalize_winners(win_parts)
         lap("winners")
         if final_output == "metadata":
@@ -505,15 +430,11 @@ def run_quality_pipeline(input_dir: str, out_dir: str, concurrency: int | tuple 
         else:
             totals["final_rows"] = _dedup_phase(filtered_dir, final_dir, wp, wi)
         lap("final")
-        if index is not None:
-            from ..state.dedup_index import append as _index_append
+        from ..state.dedup_index import append as _index_append
 
-            _index_append(index.index_dir, wp)
-        if hidx is not None:
-            # same store primitive — keys ARE the raw winner phashes
-            from ..state.dedup_index import append as _index_append
-
-            _index_append(hidx.index_dir, wp)
+        for ix in (index, hidx):
+            if ix is not None:  # same store primitive — keys ARE the raw winner phashes
+                _index_append(ix.index_dir, wp)
         lap("index_append")
     if ar_batch_size is not None:
         _write_ar_batches(out_dir, totals, ar_batch_size, ar_buckets)
@@ -612,7 +533,7 @@ def _surviving(t: pa.Table) -> pa.Table:
     return t.filter(pc.not_equal(t["verdict"], pa.scalar("DROP")))
 
 
-def _merge_winners_from_disk(frag_dirs: list[str],
+def _merge_committed_winners(frag_dirs: list[str],
                              win_parts: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Append min-image_id-per-phash partials for previously committed
     fragments (resume path): reads the two key columns only."""
@@ -650,8 +571,8 @@ def _dedup_phase(filtered_dir: str, final_dir: str,
     """Keep-first-by-image_id per phash using the precomputed winner
     arrays (sorted by phash, phash unique; broadcast once via ray.put →
     zero-copy plasma reads + vectorized searchsorted membership). The
-    winner arrays fit driver memory by strategy assumption — beyond that
-    use dedup_by_key(strategy='map_groups'). Returns final row count.
+    winner arrays fit driver memory by the capacity assumption
+    (SCALE.md). Returns final row count.
 
     A per-row filter with no exchange, so it runs as plain Ray tasks, not
     a Ray Data job: the sorted fragment directories split into contiguous

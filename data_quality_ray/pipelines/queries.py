@@ -2975,8 +2975,7 @@ def rfm_segments_orders(sf_dir: str) -> pd.DataFrame:
                            {"r": ("d", "max"), "f": ("d", "count"),
                             "m": ("p", "sum")}, final="shuffle")
     pc = pc.map_batches(
-        lambda b: b.assign(m=np.floor(b["m"].to_numpy(np.float64)
-                                      * 100.0 + 0.5) / 100.0),
+        lambda b: b.assign(m=round_half_away(b["m"].to_numpy(np.float64), 2)),
         batch_format="pandas").materialize()
 
     fences = {}
@@ -3317,8 +3316,7 @@ def gini_customer_spend(sf_dir: str) -> pd.DataFrame:
     # money contract: rank on 2-dp half-away sums so a sub-ulp
     # cross-engine difference in a customer's sum cannot flip rank order
     spend = spend.map_batches(
-        lambda b: b.assign(x=np.floor(b["x"].to_numpy(np.float64)
-                                      * 100.0 + 0.5) / 100.0),
+        lambda b: b.assign(x=round_half_away(b["x"].to_numpy(np.float64), 2)),
         batch_format="pandas")
     ranked = global_row_number(spend, "x", tiebreak="o_custkey",
                                out_col="i")

@@ -18,12 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..rules.heuristics import round_half_away
+
 ROUND_TO = 6
-
-
-def _r6(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) * 10.0 ** ROUND_TO + 0.5) \
-        / 10.0 ** ROUND_TO
 
 
 def logreg_fit(ds, x_cols: list[str], label_col: str, rounds: int = 8,
@@ -80,8 +77,8 @@ def logreg_fit(ds, x_cols: list[str], label_col: str, rounds: int = 8,
                 lsum += ll
                 n += m
         n_total = n
-        loss = _r6(np.float64(lsum / n)) if n else float("nan")
-        w = _r6(w - lr * gsum / n) if n else w
+        loss = round_half_away(np.float64(lsum / n), ROUND_TO) if n else float("nan")
+        w = round_half_away(w - lr * gsum / n, ROUND_TO) if n else w
     return {"w": w, "loss": float(loss), "n": int(n_total)}
 
 

@@ -178,6 +178,26 @@ def test_null_and_float_blocks_keep_float_dtype(ray_session):
     assert sorted(out["x"].dropna()) == [1.5, 2.5, 3.5]
 
 
+def test_int_key_with_nulls_in_some_blocks_meets_once(ray_session):
+    """An Arrow int key column with nulls converts to float64 only in the
+    blocks that hold a null; every key still meets in exactly one call."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    keys = list(range(40))
+    ds = rd.from_arrow([
+        pa.table({"k": pa.array(keys + [None], type=pa.int64()), "v": range(41)}),
+        pa.table({"k": pa.array(keys, type=pa.int64()), "v": range(41, 81)}),
+    ])
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return g.assign(call=uuid.uuid4().hex)
+
+    out = bucket_exchange(ds, "k", fn, 8).to_pandas()
+    assert sorted(out["v"]) == list(range(81))
+    assert _one_call_per_key(out, ["k"])
+
+
 def test_skew_record(ray_session):
     """Each exchange records (keys, buckets, rows in, max and median rows
     per bucket); one key puts every row in one bucket."""

@@ -18,7 +18,7 @@ sys.path.insert(0, {repo!r})
 import ray
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 from data_quality_ray.pipelines.north import run_quality_pipeline
-stats = run_quality_pipeline({src!r}, {out!r}, concurrency=2, batch_size=128,
+stats = run_quality_pipeline({src!r}, {out!r}, batch_size=128,
                              wave_files=1)
 import json
 print("DONE " + json.dumps(stats))

@@ -125,12 +125,12 @@ def test_flagship_with_cross_run_index(ray_session, tmp_path):
                 os.path.join(d2, "part-00099.parquet"))
 
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    t1 = run_quality_pipeline(d1, out1, concurrency=2, batch_size=256,
+    t1 = run_quality_pipeline(d1, out1, batch_size=256,
                               dedup_index_dir=idx_dir)
     keys_after_1 = load_keys(idx_dir)
     assert len(keys_after_1) == t1["final_rows"]
 
-    t2 = run_quality_pipeline(d2, out2, concurrency=2, batch_size=256,
+    t2 = run_quality_pipeline(d2, out2, batch_size=256,
                               dedup_index_dir=idx_dir)
     out2_ph = pq.read_table(os.path.join(out2, "final"), columns=["phash"])["phash"].to_numpy()
     assert len(set(out2_ph) & set(keys_after_1)) == 0

@@ -144,12 +144,12 @@ def test_flagship_with_neardup_index(ray_session, tmp_path):
     pq.write_table(t, os.path.join(d2, "part-00099.parquet"))
 
     out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
-    run_quality_pipeline(d1, out1, concurrency=2, batch_size=256,
+    run_quality_pipeline(d1, out1, batch_size=256,
                          neardup_index_dir=idx_dir)
     keys1 = load_keys(idx_dir)
     assert len(keys1) > 0
 
-    run_quality_pipeline(d2, out2, concurrency=2, batch_size=256,
+    run_quality_pipeline(d2, out2, batch_size=256,
                          neardup_index_dir=idx_dir)
     out2_ph = pq.read_table(os.path.join(out2, "final"),
                             columns=["phash"])["phash"].to_numpy()

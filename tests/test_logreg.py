@@ -4,7 +4,8 @@ serial-reference parity, partition invariance, learning signal."""
 import numpy as np
 import pandas as pd
 
-from data_quality_ray.similarity.logreg import _r6, logreg_fit
+from data_quality_ray.rules.heuristics import round_half_away
+from data_quality_ray.similarity.logreg import ROUND_TO, logreg_fit
 
 
 def _ds(df, blocks=5):
@@ -20,10 +21,10 @@ def _serial(df, x_cols, rounds, lr):
     w = np.zeros(xa.shape[1])
     for _ in range(rounds):
         p = 1.0 / (1.0 + np.exp(-(xa @ w)))
-        w = _r6(w - lr * (xa.T @ (p - y)) / len(x))
-        loss = _r6(np.float64(
+        w = round_half_away(w - lr * (xa.T @ (p - y)) / len(x), ROUND_TO)
+        loss = round_half_away(np.float64(
             -(y * np.log(np.maximum(p, 1e-300))
-              + (1 - y) * np.log(np.maximum(1 - p, 1e-300))).mean()))
+              + (1 - y) * np.log(np.maximum(1 - p, 1e-300))).mean()), ROUND_TO)
     return w, loss
 
 

@@ -13,7 +13,7 @@ def north_run(ray_session, f1_dir, tmp_path_factory):
     from data_quality_ray.pipelines.north import run_quality_pipeline
 
     out = str(tmp_path_factory.mktemp("north"))
-    stats = run_quality_pipeline(f1_dir, out, concurrency=2, batch_size=256, wave_files=2)
+    stats = run_quality_pipeline(f1_dir, out, batch_size=256, wave_files=2)
     return out, stats
 
 
@@ -69,7 +69,7 @@ def test_exact_resume_skips_completed(north_run, f1_dir):
     out, stats = north_run
     from data_quality_ray.pipelines.north import run_quality_pipeline
 
-    stats2 = run_quality_pipeline(f1_dir, out, concurrency=2, batch_size=256, wave_files=2)
+    stats2 = run_quality_pipeline(f1_dir, out, batch_size=256, wave_files=2)
     assert stats2["n_rows"] == stats["n_rows"]
     assert stats2["final_rows"] == stats["final_rows"]
     assert stats2["rule_hits"] == stats["rule_hits"]
@@ -118,7 +118,7 @@ def test_partial_resume_reprocesses_only_missing(north_run, f1_dir):
     shutil.rmtree(os.path.join(out, "filtered", f"frag-{frag:06d}"))
     from data_quality_ray.pipelines.north import run_quality_pipeline
 
-    stats2 = run_quality_pipeline(f1_dir, out, concurrency=2, batch_size=256, wave_files=2)
+    stats2 = run_quality_pipeline(f1_dir, out, batch_size=256, wave_files=2)
     assert stats2["n_rows"] == stats["n_rows"]
     assert stats2["final_rows"] == stats["final_rows"]
     assert stats2["rule_hits"] == stats["rule_hits"]
@@ -134,7 +134,7 @@ def test_metadata_final_mode_matches_rewrite(north_run, f1_dir, tmp_path):
 
     out_b, stats_b = north_run
     out_m = str(tmp_path / "meta")
-    stats_m = run_quality_pipeline(f1_dir, out_m, concurrency=2, batch_size=256,
+    stats_m = run_quality_pipeline(f1_dir, out_m, batch_size=256,
                                    wave_files=2, final_output="metadata")
     assert stats_m["final_mode"] == "metadata"
     assert stats_m["final_rows"] == stats_b["final_rows"]
@@ -268,10 +268,9 @@ def test_phase1_stage_slices_its_block(f1_dir, tmp_path):
     assert files_a == files_b and rows_a.equals(rows_b)
 
 
-@pytest.mark.parametrize("stage_mode", ["tasks", "actors"])
-def test_phase1_runs_without_ray_data(ray_session, f1_dir, tmp_path, monkeypatch, stage_mode):
-    """Phase 1 and the default phase 2 are plain Ray tasks (or actors):
-    a fresh run with the default settings never starts a Ray Data read."""
+def test_phase1_runs_without_ray_data(ray_session, f1_dir, tmp_path, monkeypatch):
+    """Phase 1 and phase 2 are plain Ray tasks: a fresh run with the
+    default settings never starts a Ray Data read."""
     import ray.data as rd
 
     from data_quality_ray.pipelines.north import run_quality_pipeline
@@ -280,13 +279,13 @@ def test_phase1_runs_without_ray_data(ray_session, f1_dir, tmp_path, monkeypatch
         raise AssertionError("ray.data.read_parquet called")
 
     monkeypatch.setattr(rd, "read_parquet", no_read)
-    stats = run_quality_pipeline(f1_dir, str(tmp_path / "out"), stage_mode=stage_mode)
+    stats = run_quality_pipeline(f1_dir, str(tmp_path / "out"))
     assert stats["n_rows"] == 600 and stats["final_rows"] > 0
 
 
-def test_failed_phase1_frees_its_actors(ray_session, f1_dir, tmp_path):
-    """A unit that raises in ``stage_mode="actors"`` still kills the actor
-    pool, so the session has its CPUs back while the error is handled."""
+def test_failed_phase1_frees_its_cpus(ray_session, f1_dir, tmp_path):
+    """A phase-1 unit that raises surfaces its error to the caller, and
+    the session has all its CPUs back while the error is handled."""
     import glob
     import time
 
@@ -303,8 +302,8 @@ def test_failed_phase1_frees_its_actors(ray_session, f1_dir, tmp_path):
     total = ray.cluster_resources()["CPU"]
     # ``failed`` keeps the failed frame alive, as a caller's handler does
     with pytest.raises(Exception) as failed:
-        run_quality_pipeline(str(src), str(tmp_path / "out"), concurrency=4,
-                             stage_mode="actors")
+        run_quality_pipeline(str(src), str(tmp_path / "out"))
+    assert "caption" in str(failed.value)
     deadline = time.time() + 30
     while ray.available_resources().get("CPU", 0) < total and time.time() < deadline:
         time.sleep(0.2)
@@ -386,8 +385,8 @@ def test_few_files_split_at_row_groups(ray_session, f1_dir, tmp_path, monkeypatc
     units = []
     split = north._phase1_units
 
-    def record(wave):
-        out = split(wave)
+    def record(wave, skipped=None):
+        out = split(wave, skipped)
         units.extend(out)
         return out
 
@@ -403,24 +402,6 @@ def test_few_files_split_at_row_groups(ray_session, f1_dir, tmp_path, monkeypatc
     north.run_quality_pipeline(str(src), str(tmp_path / "whole"), batch_size=64)
     assert _records(str(tmp_path / "split")) == _records(str(tmp_path / "whole"))
     assert _filtered_rows(str(tmp_path / "split")).equals(_filtered_rows(str(tmp_path / "whole")))
-
-
-def test_shuffle_dedup_strategy_matches_broadcast(north_run, f1_dir, tmp_path):
-    """dedup_strategy='shuffle' (unbounded-key-space path) produces the
-    identical final row set as the default broadcast-winner path."""
-    import ray.data as rd
-
-    from data_quality_ray.pipelines.north import run_quality_pipeline
-
-    out_b, stats_b = north_run
-    out_s = str(tmp_path / "shuffle")
-    stats_s = run_quality_pipeline(f1_dir, out_s, concurrency=2, batch_size=256,
-                                   wave_files=2, dedup_strategy="shuffle")
-    assert stats_s["final_rows"] == stats_b["final_rows"]
-    a = rd.read_parquet(out_b + "/final").to_pandas().sort_values("image_id")
-    b = rd.read_parquet(out_s + "/final").to_pandas().sort_values("image_id")
-    assert (a["image_id"].to_numpy() == b["image_id"].to_numpy()).all()
-    assert (a["caption"].to_numpy() == b["caption"].to_numpy()).all()
 
 
 def test_validate_inputs_skips_corrupt_fragment(ray_session, f1_dir, tmp_path):
@@ -443,7 +424,7 @@ def test_validate_inputs_skips_corrupt_fragment(ray_session, f1_dir, tmp_path):
     open(victim, "wb").write(good[: len(good) // 2])  # torn write
 
     out = str(tmp_path / "out")
-    stats = run_quality_pipeline(str(src), out, concurrency=2, batch_size=256,
+    stats = run_quality_pipeline(str(src), out, batch_size=256,
                                  wave_files=2, validate_inputs=True)
     assert stats["skipped_inputs"] == 1
     recs = [json.loads(l) for l in open(os.path.join(out, "skipped_inputs.jsonl"))]
@@ -452,13 +433,30 @@ def test_validate_inputs_skips_corrupt_fragment(ray_session, f1_dir, tmp_path):
 
     # "fix" the file and resume: only fragment 1 is reprocessed
     open(victim, "wb").write(good)
-    stats2 = run_quality_pipeline(str(src), out, concurrency=2, batch_size=256,
+    stats2 = run_quality_pipeline(str(src), out, batch_size=256,
                                   wave_files=2, validate_inputs=True)
     assert "skipped_inputs" not in stats2
-    full = run_quality_pipeline(str(src), str(tmp_path / "ref"), concurrency=2,
-                                batch_size=256, wave_files=2)
+    full = run_quality_pipeline(str(src), str(tmp_path / "ref"), batch_size=256, wave_files=2)
     assert stats2["n_rows"] == full["n_rows"]
     assert stats2["kept"] == full["kept"]
+
+
+def test_torn_input_raises_without_validate_inputs(ray_session, f1_dir, tmp_path):
+    """Without ``validate_inputs`` an input whose footer does not read
+    fails the run instead of being skipped."""
+    import glob
+
+    import pyarrow as pa
+
+    from data_quality_ray.pipelines.north import run_quality_pipeline
+
+    src = tmp_path / "in"
+    src.mkdir()
+    f = sorted(glob.glob(f"{f1_dir}/part-*.parquet"))[0]
+    good = open(f, "rb").read()
+    (src / os.path.basename(f)).write_bytes(good[: len(good) // 2])  # torn write
+    with pytest.raises(pa.ArrowInvalid):
+        run_quality_pipeline(str(src), str(tmp_path / "out"))
 
 
 def test_ar_batch_layout_stage(ray_session, f1_dir, tmp_path):
@@ -475,7 +473,7 @@ def test_ar_batch_layout_stage(ray_session, f1_dir, tmp_path):
     rows = {}
     for mode in ("rewrite", "metadata"):
         out = str(tmp_path / mode)
-        m = run_quality_pipeline(f1_dir, out, concurrency=2, batch_size=256,
+        m = run_quality_pipeline(f1_dir, out, batch_size=256,
                                  final_output=mode, ar_batch_size=8)
         assert m["ar_batch_rows"] == m["ar_batches"] * 8 or \
             m["ar_batch_rows"] < m["final_rows"]  # partials dropped
@@ -484,43 +482,8 @@ def test_ar_batch_layout_stage(ray_session, f1_dir, tmp_path):
         f = glob.glob(os.path.join(out, "batches", "*.parquet"))[0]
         cols = set(pq.ParquetFile(f).schema_arrow.names)
         assert "bytes" not in cols and {"image_id", "batch_id", "slot"} <= cols
-        m2 = run_quality_pipeline(f1_dir, out, concurrency=2, batch_size=256,
+        m2 = run_quality_pipeline(f1_dir, out, batch_size=256,
                                   final_output=mode, ar_batch_size=8)
         assert m2["ar_batch_rows"] == m["ar_batch_rows"]  # resume: committed
         rows[mode] = m["ar_batch_rows"]
     assert rows["rewrite"] == rows["metadata"]
-
-
-_ONE_CPU_SCRIPT = """
-import signal
-import sys
-import ray
-
-def _timeout(signum, frame):  # a pool that never starts ends the run, Ray stopped
-    sys.exit("timed out")
-
-signal.signal(signal.SIGALRM, _timeout)
-signal.alarm({alarm})
-ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
-try:
-    from data_quality_ray.pipelines.north import run_quality_pipeline
-    stats = run_quality_pipeline({f1!r}, {out!r}, batch_size=256, stage_mode="actors")
-    print("final_rows", stats["final_rows"], flush=True)
-finally:
-    ray.shutdown()
-"""
-
-
-@pytest.mark.slow
-def test_actor_mode_default_concurrency_runs_on_one_cpu(f1_dir, tmp_path):
-    """``stage_mode="actors"`` with the default ``concurrency`` starts its
-    pool at one actor, so it finishes on a 1-CPU Ray session (a fixed pool
-    of four one-CPU actors waits forever there)."""
-    import subprocess
-    import sys
-
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = _ONE_CPU_SCRIPT.format(alarm=180, f1=f1_dir, out=str(tmp_path / "out"))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=repo, capture_output=True,
-                          text=True, timeout=240)
-    assert proc.returncode == 0 and "final_rows" in proc.stdout, proc.stderr[-2000:]

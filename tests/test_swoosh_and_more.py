@@ -118,17 +118,15 @@ def test_read_any_and_read_images(ray_session, f1_dir, tmp_path):
 
 
 def test_dedup_pathological_skew(ray_session):
-    """Every row shares one key (the worst hot-key case): both dedup
-    strategies return exactly one survivor, no failure."""
+    """Every row shares one key (the worst hot-key case): the dedup
+    returns exactly one survivor, no failure."""
     import ray.data as rd
 
     from data_quality_ray.dedup.exact import dedup_by_key
 
     rows = [{"id": f"r{i:05d}", "k": 7} for i in range(20_000)]
-    for strategy in ("aggregate", "map_groups"):
-        out = dedup_by_key(rd.from_items(rows), key="k", order_col="id",
-                           strategy=strategy).to_pandas()
-        assert len(out) == 1 and out["id"].iloc[0] == "r00000"
+    out = dedup_by_key(rd.from_items(rows), key="k", order_col="id").to_pandas()
+    assert len(out) == 1 and out["id"].iloc[0] == "r00000"
 
 
 def test_grouped_aggregate_modes(ray_session):
