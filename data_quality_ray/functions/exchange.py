@@ -51,11 +51,18 @@ from pandas.core.util.hashing import combine_hash_arrays
 RECORD: deque = deque(maxlen=1024)
 
 
+# the hash of a null key value of any kind (None, NaN, NaT, pd.NA): an
+# all-null Arrow block arrives as object None, the same column's nulls in
+# another block as float NaN, and pandas hashes the two differently
+_NULL_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
 def _key_hash(b: pd.DataFrame, keys: list[str]) -> np.ndarray:
     """``hash_pandas_object(b[keys], index=False)``, column by column,
-    with each integral finite float value hashed as its int64 value. The
-    columns combine as pandas combines a frame's, so a key without float
-    columns gets exactly pandas' frame hash."""
+    with each integral finite float value hashed as its int64 value and
+    every null as ``_NULL_HASH``. The columns combine as pandas combines a
+    frame's, so a key without float columns or nulls gets exactly pandas'
+    frame hash."""
     cols = []
     for c in keys:
         h = pd.util.hash_pandas_object(b[c], index=False).to_numpy()
@@ -64,6 +71,10 @@ def _key_hash(b: pd.DataFrame, keys: list[str]) -> np.ndarray:
             whole = (v == np.round(v)) & (v >= -2.0**63) & (v < 2.0**63)  # False on NaN/inf
             if whole.any():
                 h[whole] = pd.util.hash_array(v[whole].astype(np.int64))
+        null = b[c].isna().to_numpy()
+        if null.any():
+            h = h.copy()
+            h[null] = _NULL_HASH
         cols.append(h)
     return combine_hash_arrays(iter(cols), len(cols))
 

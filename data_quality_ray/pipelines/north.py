@@ -61,7 +61,8 @@ _PAYLOAD_WRITE_ARGS = dict(compression="none", use_dictionary=False)
 LOSSY_FORMATS = {"jpeg", "jpg", "webp"}
 PHASH_HAMMING_MAX_LOSSY = 4  # measured max 1 for the stand-in codec
 # tally rows under this fragment id carry per-batch stage nanoseconds
-# ("t:<stage>"); no manifest record reads it
+# ("t:<stage>", and "t:rule:<rule>" per rule of the chain); no manifest
+# record reads them
 TIMING_FRAGMENT = -1
 PHASE1_STAGES = ("rules", "decode", "phash", "write", "tally")
 # driver-side wall-time ledger of one run (``totals["phase_s"]``), in run order
@@ -87,6 +88,7 @@ class Phase1Stage:
     def __init__(self, filtered_dir: str, chain_builder=build_image_chain,
                  validate_images: bool = True, batch_size: int = BATCH_SIZE):
         self.engine = chain_builder()
+        self.rule_keys = ["rule:" + r.name for r in self.engine.drop_rules + self.engine.scrub_rules]
         self.filtered_dir = filtered_dir
         self.validate_images = validate_images
         self.batch_size = batch_size
@@ -129,9 +131,11 @@ class Phase1Stage:
     def __call__(self, block: pa.Table) -> pa.Table:
         """The whole block in zero-copy ``batch_size``-row slices, so one
         rule-chain/decode call (and its decoded pixels) never sees more
-        rows than that; one ``t:<stage>`` row per stage carries the
+        rows than that; one ``t:<stage>`` row per stage, and one
+        ``t:rule:<rule>`` row per rule of the chain, carries the
         nanoseconds summed over the slices."""
         ns = dict.fromkeys(PHASE1_STAGES, 0)
+        ns.update(dict.fromkeys(self.rule_keys, 0))
         parts = [self._slice(block.slice(s, self.batch_size), ns)
                  for s in range(0, len(block), self.batch_size)]
         parts.append(_tally_table([TIMING_FRAGMENT] * len(ns), ["t:" + s for s in ns],
@@ -140,8 +144,10 @@ class Phase1Stage:
 
     def _slice(self, batch: pa.Table, ns: dict[str, int]) -> pa.Table:
         t0 = time.perf_counter_ns()
-        res = self.engine.apply(batch["caption"].to_numpy(zero_copy_only=False))
+        res = self.engine.apply(batch["caption"])
         ns["rules"] += time.perf_counter_ns() - t0
+        for name, t in res.rule_ns.items():
+            ns["rule:" + name] += t
         verdict, first_rule = res.verdict, res.first_rule
         if self.validate_images:
             self._validate(batch, verdict, first_rule, ns)
@@ -354,6 +360,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str,
 
     win_parts: list[tuple[np.ndarray, np.ndarray]] = []  # winner partials
     stage_ns = dict.fromkeys(PHASE1_STAGES, 0)
+    rule_ns: dict[str, int] = {}
     stage_kwargs = {"filtered_dir": filtered_dir, "validate_images": validate_images,
                     "batch_size": batch_size}
     n_skipped = 0
@@ -383,6 +390,9 @@ def run_quality_pipeline(input_dir: str, out_dir: str,
                                   wb["win_id"].to_numpy(zero_copy_only=False)))
         for stage in PHASE1_STAGES:
             stage_ns[stage] += tally.get((TIMING_FRAGMENT, "t:" + stage), 0)
+        for (frag, key), v in tally.items():
+            if frag == TIMING_FRAGMENT and key.startswith("t:rule:"):
+                rule_ns[key[7:]] = rule_ns.get(key[7:], 0) + v
         lap("phase1")
         for frag_id, path in wave:
             agg = {k: v for (f, k), v in tally.items() if f == frag_id}
@@ -401,6 +411,7 @@ def run_quality_pipeline(input_dir: str, out_dir: str,
 
     totals = manifest.totals()
     totals["phase1_stage_s"] = {k: v / 1e9 for k, v in stage_ns.items()}
+    totals["phase1_rule_s"] = {k: v / 1e9 for k, v in rule_ns.items()}
     if n_skipped:
         totals["skipped_inputs"] = n_skipped
     lap("manifest")

@@ -1,21 +1,25 @@
-"""The flagship quality-filter pipeline (north star).
+"""Quality-filter rule chains and the Ray Data stage that applies one.
 
 Chain assembly (rule order is part of the contract — it determines
-first-failure attribution, EmailVerify.java:120-150 semantics) plus the
-Ray Data stage that applies it:
+first-failure attribution, EmailVerify.java:120-150 semantics): each
+library rule is a columnar kernel plus its scalar definition (``one``),
+see rules/core.py. ``QualityFilterStage`` applies a chain to a Dataset:
 
     read → map_batches(QualityFilterStage, concurrency=N)   # actor pool
-         → [groupby(phash) dedup]
-         → write_parquet + lineage manifest
+         → (optionally) keep only non-DROP rows
 
-``QualityFilterStage`` is a callable class: models (langid, perplexity LM)
-are built ONCE per actor in ``__init__`` (the per-JVM dictionary-singleton
-pattern, TextTokenizerBase.java:19-56), each Arrow batch is scored
-vectorized in ``__call__``. The image ``bytes`` column rides along
-zero-copy — caption rules never touch it.
+The flagship pipeline (pipelines/north.py) does not use this stage: its
+phase-1 Ray tasks apply ``build_image_chain`` inside ``Phase1Stage``.
+``QualityFilterStage`` is a callable class: models (langid, perplexity
+LM) are built ONCE per actor in ``__init__`` (the per-JVM
+dictionary-singleton pattern, TextTokenizerBase.java:19-56), each Arrow
+batch is scored vectorized in ``__call__``. The image ``bytes`` column
+rides along zero-copy — caption rules never touch it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
@@ -33,29 +37,40 @@ CAPTION_MIN_LEN, CAPTION_MAX_LEN = 15, 300
 DOC_MIN_LEN, DOC_MAX_LEN = 60, 500
 
 
+def _drop(name: str, mask, one, **params) -> DropRule:
+    """A columnar drop rule and its scalar definition, bound to ``params``."""
+    return DropRule(name, partial(mask, **params), one=partial(one, **params))
+
+
+def _scrubs() -> list[ScrubRule]:
+    return [
+        ScrubRule("toxicity", S.scrub_toxic, one=S.scrub_toxic_one),
+        ScrubRule("pii_email", S.scrub_email, one=S.scrub_email_one),
+        ScrubRule("pii_ssn", S.scrub_ssn, one=S.scrub_ssn_one),
+        ScrubRule("pii_phone", S.scrub_phone, one=S.scrub_phone_one),
+    ]
+
+
 def build_image_chain(ppl_threshold: float = PPL_THRESHOLD) -> RuleEngine:
     """Rule chain for image+caption rows (caption column). Ordered; rule k
     sees only rows undecided by rules 1..k-1."""
     langid = HeuristicLangID()
     ppl = NgramPerplexity()
     drop = [
-        DropRule("empty", H.empty_mask),
-        DropRule("length", lambda v: H.length_mask(v, CAPTION_MIN_LEN, CAPTION_MAX_LEN)),
-        DropRule("junk_numeric", H.junk_numeric_mask),
-        DropRule("langid", lambda v: langid.predict(v) != "en"),
-        DropRule("symbol_ratio", H.symbol_ratio_mask),
-        DropRule("char_run", H.char_run_mask),
-        DropRule("repetition", H.repetition_mask),
-        DropRule("stopword_density", H.stopword_density_mask),
-        DropRule("perplexity", lambda v: ppl.perplexity(v) > ppl_threshold),
+        _drop("empty", H.empty_mask, H.empty_one),
+        _drop("length", H.length_mask, H.length_one,
+              min_len=CAPTION_MIN_LEN, max_len=CAPTION_MAX_LEN),
+        _drop("junk_numeric", H.junk_numeric_mask, H.junk_numeric_one),
+        DropRule("langid", lambda v: langid.predict(v) != "en",
+                 one=lambda v: langid.predict_one(v) != "en"),
+        _drop("symbol_ratio", H.symbol_ratio_mask, H.symbol_ratio_one),
+        _drop("char_run", H.char_run_mask, H.char_run_one),
+        _drop("repetition", H.repetition_mask, H.repetition_one),
+        _drop("stopword_density", H.stopword_density_mask, H.stopword_density_one),
+        DropRule("perplexity", lambda v: ppl.perplexity(v) > ppl_threshold,
+                 one=lambda v: ppl.perplexity_one(v) > ppl_threshold),
     ]
-    scrub = [
-        ScrubRule("toxicity", S.scrub_toxic),
-        ScrubRule("pii_email", S.scrub_email),
-        ScrubRule("pii_ssn", S.scrub_ssn),
-        ScrubRule("pii_phone", S.scrub_phone),
-    ]
-    return RuleEngine(drop, scrub)
+    return RuleEngine(drop, _scrubs())
 
 
 def build_docs_chain() -> RuleEngine:
@@ -67,21 +82,16 @@ def build_docs_chain() -> RuleEngine:
     the lang column), symbol_ratio, repetition, stopword_density, then the
     PII/toxicity scrubs."""
     drop = [
-        DropRule("empty", H.empty_mask),
-        DropRule("length", lambda v: H.length_mask(v, DOC_MIN_LEN, DOC_MAX_LEN)),
-        DropRule("junk_numeric", H.junk_numeric_mask),
-        DropRule("langid", lambda v, aux: np.asarray(aux["lang"], dtype=object) != "en", use_aux=True),
-        DropRule("symbol_ratio", H.symbol_ratio_mask),
-        DropRule("repetition", H.repetition_mask),
-        DropRule("stopword_density", H.stopword_density_mask),
+        _drop("empty", H.empty_mask, H.empty_one),
+        _drop("length", H.length_mask, H.length_one, min_len=DOC_MIN_LEN, max_len=DOC_MAX_LEN),
+        _drop("junk_numeric", H.junk_numeric_mask, H.junk_numeric_one),
+        DropRule("langid", lambda v, aux: np.asarray(aux["lang"], dtype=object) != "en",
+                 use_aux=True, one=lambda v, aux: aux["lang"] != "en"),
+        _drop("symbol_ratio", H.symbol_ratio_mask, H.symbol_ratio_one),
+        _drop("repetition", H.repetition_mask, H.repetition_one),
+        _drop("stopword_density", H.stopword_density_mask, H.stopword_density_one),
     ]
-    scrub = [
-        ScrubRule("toxicity", S.scrub_toxic),
-        ScrubRule("pii_email", S.scrub_email),
-        ScrubRule("pii_ssn", S.scrub_ssn),
-        ScrubRule("pii_phone", S.scrub_phone),
-    ]
-    return RuleEngine(drop, scrub)
+    return RuleEngine(drop, _scrubs())
 
 
 _CHAIN_CACHE: dict[str, RuleEngine] = {}
@@ -110,9 +120,8 @@ class QualityFilterStage:
         self.tally = RuleTally()  # per-actor running tally (lineage)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        values = batch[self.column].to_numpy(zero_copy_only=False)
         aux = {c: batch[c].to_numpy(zero_copy_only=False) for c in self.aux_columns}
-        res = self.engine.apply(values, aux=aux)
+        res = self.engine.apply(batch[self.column], aux=aux)
         self.tally.merge(res.tally)
         out = batch.set_column(
             batch.schema.get_field_index(self.column), self.column, pa.array(res.values, type=pa.string())

@@ -77,7 +77,7 @@ def _quality_filter_docs_ds(sf_dir: str):
 
         engine = cached_chain(build_docs_chain)
         res = engine.apply(
-            batch["text"].to_numpy(zero_copy_only=False),
+            batch["text"],
             aux={"lang": batch["lang"].to_numpy(zero_copy_only=False)},
         )
         return pa.table(
@@ -125,7 +125,7 @@ def corpus_clean_docs(sf_dir: str) -> pd.DataFrame:
         from ..pipelines.quality_filter import cached_chain
 
         res = cached_chain(build_docs_chain).apply(
-            batch["text"].to_numpy(zero_copy_only=False),
+            batch["text"],
             aux={"lang": batch["lang"].to_numpy(zero_copy_only=False)},
         )
         keep = res.verdict != "DROP"
@@ -4294,7 +4294,7 @@ def source_quality_docs(sf_dir: str) -> pd.DataFrame:
     def verdicts(batch: pa.Table) -> pa.Table:
         engine = cached_chain(build_docs_chain)
         res = engine.apply(
-            batch["text"].to_numpy(zero_copy_only=False),
+            batch["text"],
             aux={"lang": batch["lang"].to_numpy(zero_copy_only=False)})
         return pa.table({
             "source": batch["source"],
@@ -4885,7 +4885,7 @@ def rule_ablation_docs(sf_dir: str) -> pd.DataFrame:
     def part(b: pa.Table) -> pd.DataFrame:
         engine = cached_chain(build_docs_chain)
         m = engine.rule_matrix(
-            b["text"].to_numpy(zero_copy_only=False),
+            b["text"],
             aux={"lang": b["lang"].to_numpy(zero_copy_only=False)})
         mat = np.stack([m[r] for r in names], axis=1)  # (n, n_rules)
         earlier = np.zeros_like(mat)
@@ -4963,7 +4963,7 @@ def auc_by_source_docs(sf_dir: str) -> pd.DataFrame:
         score = model.score(
             b["text"].to_numpy(zero_copy_only=False))["quality_score"]
         res = cached_chain(build_docs_chain).apply(
-            b["text"].to_numpy(zero_copy_only=False),
+            b["text"],
             aux={"lang": b["lang"].to_numpy(zero_copy_only=False)})
         return pd.DataFrame({
             "source": b["source"].to_numpy(zero_copy_only=False),

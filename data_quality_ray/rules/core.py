@@ -16,32 +16,51 @@ Re-expresses the reference's chain-of-checkers validation pipeline
   capped invalid-value samples; `merge` is the mergeCounts:92-97 analog so
   partition tallies combine into run totals).
 
-Everything operates on numpy object arrays of strings — one call per Arrow
-batch, vectorized inside each rule.
+The chain runs once per DISTINCT value of a batch (per distinct (value,
+aux) tuple when a rule reads side columns) and scatters the verdicts back
+to the rows; tallies count rows. Library rules are columnar kernels over a
+``rules.tokens.TextBatch`` of those distinct values, whose byte and token
+tables they share.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
+import pyarrow.compute as pc
+
+from .tokens import TextBatch, to_arrow
 
 KEEP, DROP, CORRECTED = "KEEP", "DROP", "CORRECTED"
 NO_RULE = ""
 SAMPLE_CAP = 10
 
 
+def _values(t: TextBatch, columnar: bool):
+    return t if columnar else t.values
+
+
 @dataclass
 class DropRule:
     """A named vectorized predicate: True → drop the row, attributing
     ``name`` as its first (deciding) rule. Set ``use_aux=True`` for rules
-    that also read side columns (fn(values, aux: dict[str, ndarray]))."""
+    that also read side columns (fn(values, aux: dict[str, ndarray])).
+
+    ``one`` is the rule's scalar definition (``one(value[, aux_row])`` →
+    bool), which the row-by-row oracle walks. A rule that has one is
+    columnar: its ``fn`` receives a ``TextBatch``; without one, ``fn``
+    receives an object array."""
 
     name: str
     fn: "callable"  # (values[, aux]) -> np.ndarray[bool]
     use_aux: bool = False
+    one: "callable | None" = None
 
-    def __call__(self, values: np.ndarray, aux: dict | None = None) -> np.ndarray:
+    def __call__(self, values, aux: dict | None = None) -> np.ndarray:
+        values = _values(TextBatch.of(values), self.one is not None)
         out = self.fn(values, aux) if self.use_aux else self.fn(values)
         return np.asarray(out, dtype=bool)
 
@@ -49,13 +68,17 @@ class DropRule:
 @dataclass
 class ScrubRule:
     """A named vectorized rewriter: returns new values; rows whose value
-    changed are marked CORRECTED (first changing scrub wins attribution)."""
+    changed are marked CORRECTED (first changing scrub wins attribution).
+    ``one(value)`` → new value is its scalar definition; as for
+    ``DropRule``, a rule that has one receives a ``TextBatch``."""
 
     name: str
-    fn: "callable"  # (values: np.ndarray[object]) -> np.ndarray[object]
+    fn: "callable"  # (values) -> np.ndarray[object]
+    one: "callable | None" = None
 
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(values), dtype=object)
+    def __call__(self, values) -> np.ndarray:
+        return np.asarray(self.fn(_values(TextBatch.of(values), self.one is not None)),
+                          dtype=object)
 
 
 @dataclass
@@ -104,6 +127,24 @@ class ChainResult:
     first_rule: np.ndarray  # object: rule name or ""
     values: np.ndarray  # object: (possibly rewritten) values
     tally: RuleTally
+    rule_ns: dict[str, int] = field(default_factory=dict)  # time spent in each rule
+
+
+def _distinct(values, aux: dict | None):
+    """→ (TextBatch of the distinct values, their aux columns, the row →
+    distinct index). With aux, distinct means distinct (value, aux…)."""
+    arr = to_arrow(values)
+    enc = pc.dictionary_encode(arr, null_encoding="encode")
+    inv = enc.indices.to_numpy().astype(np.int64)
+    if not aux:
+        return TextBatch(enc.dictionary), {}, inv
+    aux = {k: np.asarray(v, dtype=object) for k, v in aux.items()}
+    key = inv
+    for v in aux.values():
+        codes, uniq = pd.factorize(v, use_na_sentinel=False)
+        key = key * max(1, len(uniq)) + codes
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return TextBatch(arr.take(first)), {k: v[first] for k, v in aux.items()}, inv.ravel()
 
 
 class RuleEngine:
@@ -113,8 +154,7 @@ class RuleEngine:
         self.drop_rules = drop_rules
         self.scrub_rules = scrub_rules
 
-    def rule_matrix(self, values: np.ndarray,
-                    aux: dict[str, np.ndarray] | None = None
+    def rule_matrix(self, values, aux: dict[str, np.ndarray] | None = None
                     ) -> dict[str, np.ndarray]:
         """Every drop rule evaluated INDEPENDENTLY on every row (no
         short-circuit) — the ablation view: which rules would each row
@@ -122,53 +162,66 @@ class RuleEngine:
         chain-order first hit; tuning a chain needs the full matrix
         (sole-reason drops = rows a rule removal would rescue). All
         rules must be null-robust (they are — the chain's empty rule
-        otherwise shields them)."""
-        values = np.asarray(values, dtype=object)
-        out = {}
-        for rule in self.drop_rules:
-            sub_aux = ({k: np.asarray(v) for k, v in (aux or {}).items()}
-                       if rule.use_aux else None)
-            out[rule.name] = np.asarray(rule(values, sub_aux), dtype=bool)
-        return out
+        otherwise shields them). Same kernels as ``apply``, once per
+        distinct value."""
+        t, d_aux, inv = _distinct(values, aux)
+        return {rule.name: rule(t, d_aux if rule.use_aux else None)[inv]
+                for rule in self.drop_rules}
 
-    def apply(self, values: np.ndarray, aux: dict[str, np.ndarray] | None = None) -> ChainResult:
-        n = len(values)
-        values = np.asarray(values, dtype=object)
-        verdict = np.full(n, KEEP, dtype=object)
-        first_rule = np.full(n, NO_RULE, dtype=object)
-        out_values = values.copy()
-        tally = RuleTally(total=n)
+    def apply(self, values, aux: dict[str, np.ndarray] | None = None) -> ChainResult:
+        """``values``: Arrow (chunked) string array, object array or list.
+        Rule k sees only the distinct values rules 1..k-1 left undecided."""
+        t, d_aux, inv = _distinct(values, aux)
+        m = len(t)
+        verdict = np.full(m, KEEP, dtype=object)
+        first_rule = np.full(m, NO_RULE, dtype=object)
+        hits: list[tuple[str, np.ndarray]] = []  # (rule, distinct indices) in chain order
+        rule_ns: dict[str, int] = {}
 
-        undecided_idx = np.arange(n)
+        undecided = np.arange(m)
         for rule in self.drop_rules:
-            if len(undecided_idx) == 0:
+            if len(undecided) == 0:
                 break
-            sub = values[undecided_idx]
-            sub_aux = {k: np.asarray(v)[undecided_idx] for k, v in (aux or {}).items()} if rule.use_aux else None
+            t0 = time.perf_counter_ns()
+            sub = t if len(undecided) == m else t.take(undecided)
+            sub_aux = {k: v[undecided] for k, v in d_aux.items()} if rule.use_aux else None
             hit = rule(sub, sub_aux)
-            hit_idx = undecided_idx[hit]
-            if len(hit_idx):
+            rule_ns[rule.name] = time.perf_counter_ns() - t0
+            if hit.any():
+                hit_idx = undecided[hit]
                 verdict[hit_idx] = DROP
                 first_rule[hit_idx] = rule.name
-                tally.add(rule.name, len(hit_idx), [str(v) for v in values[hit_idx[:SAMPLE_CAP]]])
-            undecided_idx = undecided_idx[~hit]
+                hits.append((rule.name, hit_idx))
+                undecided = undecided[~hit]
 
-        # scrub rules run (in order) only on surviving rows
+        # scrub rules run (in order) only on surviving values
+        out_values = t.values.copy()
+        cur = t.take(undecided)
         for rule in self.scrub_rules:
-            if len(undecided_idx) == 0:
+            if len(undecided) == 0:
                 break
-            sub = out_values[undecided_idx]
-            new = rule(sub)
-            changed = new != sub
-            ch_idx = undecided_idx[changed]
-            if len(ch_idx):
+            t0 = time.perf_counter_ns()
+            old = cur.values
+            new = rule(cur)
+            changed = new != old
+            if changed.any():
+                ch_idx = undecided[changed]
                 out_values[ch_idx] = new[changed]
-                newly = ch_idx[verdict[ch_idx] == KEEP]
+                first_rule[ch_idx[verdict[ch_idx] == KEEP]] = rule.name
                 verdict[ch_idx] = CORRECTED
-                first_rule[newly] = rule.name
-                tally.add(rule.name, len(ch_idx), [str(v) for v in values[ch_idx[:SAMPLE_CAP]]])
+                hits.append((rule.name, ch_idx))
+                cur = TextBatch.of(out_values[undecided])
+            rule_ns[rule.name] = time.perf_counter_ns() - t0
 
+        tally = RuleTally(total=len(inv))
+        row_values = t.values[inv]
+        for name, idx in hits:
+            hit_rows = np.zeros(m, dtype=bool)
+            hit_rows[idx] = True
+            rows = np.flatnonzero(hit_rows[inv])
+            tally.add(name, len(rows), [str(v) for v in row_values[rows[:SAMPLE_CAP]]])
+        verdict, first_rule = verdict[inv], first_rule[inv]
         tally.kept = int(np.sum(verdict == KEEP))
         tally.dropped = int(np.sum(verdict == DROP))
         tally.corrected = int(np.sum(verdict == CORRECTED))
-        return ChainResult(verdict, first_rule, out_values, tally)
+        return ChainResult(verdict, first_rule, out_values[inv], tally, rule_ns)

@@ -26,6 +26,9 @@ import re
 import string
 
 import numpy as np
+import pyarrow.compute as pc
+
+from .tokens import IS_ALNUM, IS_SPACE, TextBatch, byte_lut
 
 # 50 common English stopwords — fixed, ordered, public knowledge.
 EN_STOPWORDS = frozenset(
@@ -45,85 +48,150 @@ def _np(values) -> np.ndarray:
     return np.asarray(values, dtype=object)
 
 
-# -- individual predicates (value -> bool), vectorized via list comp over the
-#    (already short-circuit-compacted) undecided subset ---------------------
+# -- drop rules: each is a scalar definition ``*_one(v) -> bool`` (the
+#    row-by-row oracle walks these; non-ASCII rows and nulls use them) and
+#    a columnar ``*_mask(values)`` over a ``TextBatch`` (or array-like)
+#    that computes the same answer for ASCII rows from byte/token tables.
+
+_NOT_JUNK = byte_lut([not re.match(r"[0-9０-９\s.,/:+%-]", chr(b)) for b in range(256)])
+_DIGIT = byte_lut([chr(b) in string.digits for b in range(256)])
+_NOT_SPACE, _ALNUM = byte_lut(~IS_SPACE), byte_lut(IS_ALNUM)
+
+
+def empty_one(v) -> bool:
+    return v is None or str(v).strip() == ""
 
 
 def empty_mask(values) -> np.ndarray:
-    return np.array([v is None or str(v).strip() == "" for v in _np(values)], dtype=bool)
+    t = TextBatch.of(values)
+    return t.per_ascii(t.byte_counts(_NOT_SPACE) == 0, empty_one)
+
+
+def length_one(v, min_len: int = 5, max_len: int = 512) -> bool:
+    return v is None or not (min_len <= len(v) <= max_len)
 
 
 def length_mask(values, min_len: int = 5, max_len: int = 512) -> np.ndarray:
     # code-point length, like the reference's codePointCount tallies
-    return np.array(
-        [v is None or not (min_len <= len(v) <= max_len) for v in _np(values)], dtype=bool
-    )
+    t = TextBatch.of(values)
+    n = pc.utf8_length(t.arr)
+    ok = pc.and_(pc.greater_equal(n, min_len), pc.less_equal(n, max_len))
+    return ~pc.fill_null(ok, False).to_numpy(zero_copy_only=False)
+
+
+def junk_numeric_one(v) -> bool:
+    return v is not None and _JUNK_RE.match(v) is not None and _JUNK_DIGIT_RE.search(v) is not None
 
 
 def junk_numeric_mask(values) -> np.ndarray:
     """Caption is only digits/punctuation (a number, date or id — nothing to
     train on). Contains at least one digit and no letters."""
-    return np.array(
-        [v is not None and _JUNK_RE.match(v) is not None and _JUNK_DIGIT_RE.search(v) is not None
-         for v in _np(values)],
-        dtype=bool,
-    )
+    t = TextBatch.of(values)
+    junk = (t.byte_counts(_NOT_JUNK) == 0) & (t.byte_counts(_DIGIT) > 0)
+    return t.per_ascii(junk, junk_numeric_one)
+
+
+def symbol_ratio_one(v, max_ratio: float = 0.3) -> bool:
+    if v is None:
+        return False
+    ns = "".join(v.split())
+    return bool(ns) and len(ns.translate(_DEL_ASCII_ALNUM)) / len(ns) > max_ratio
 
 
 def symbol_ratio_mask(values, max_ratio: float = 0.3) -> np.ndarray:
     """Ratio of ASCII symbol chars (not alnum, not whitespace) over
     non-whitespace chars exceeds ``max_ratio``. ``str.split()`` drops the
     same whitespace as ``re``'s ``\\s`` (``str.isspace``)."""
-    out = np.zeros(len(values), dtype=bool)
-    for i, v in enumerate(_np(values)):
-        if v is None:
-            continue
-        ns = "".join(v.split())
-        if not ns:
-            continue
-        out[i] = len(ns.translate(_DEL_ASCII_ALNUM)) / len(ns) > max_ratio
-    return out
+    t = TextBatch.of(values)
+    nonspace = t.byte_counts(_NOT_SPACE)
+    sym = nonspace - t.byte_counts(_ALNUM)
+    ratio = np.divide(sym, nonspace, out=np.zeros(len(sym)), where=nonspace > 0)
+    return t.per_ascii((nonspace > 0) & (ratio > max_ratio),
+                       lambda v: symbol_ratio_one(v, max_ratio))
+
+
+def repetition_one(v, max_top_ratio: float = 0.5, min_tokens: int = 6) -> bool:
+    if v is None:
+        return False
+    toks = v.lower().split()
+    if len(toks) < min_tokens:
+        return False
+    counts: dict[str, int] = {}
+    for tok in toks:
+        counts[tok] = counts.get(tok, 0) + 1
+    return max(counts.values()) / len(toks) >= max_top_ratio
 
 
 def repetition_mask(values, max_top_ratio: float = 0.5, min_tokens: int = 6) -> np.ndarray:
     """Most frequent token dominates (≥ max_top_ratio of ≥ min_tokens
-    tokens) — template/spam captions ("buy buy buy …")."""
-    out = np.zeros(len(values), dtype=bool)
-    for i, v in enumerate(_np(values)):
-        if v is None:
-            continue
-        toks = v.lower().split()
-        if len(toks) < min_tokens:
-            continue
-        counts: dict[str, int] = {}
-        for t in toks:
-            counts[t] = counts.get(t, 0) + 1
-        out[i] = max(counts.values()) / len(toks) >= max_top_ratio
-    return out
+    tokens) — template/spam captions ("buy buy buy …"): the per-row
+    longest run of equal keys over sorted (row, token id) keys."""
+    t = TextBatch.of(values)
+    tab = t.words
+    n = len(t)
+    top = np.zeros(n, dtype=np.int64)
+    if len(tab.ids):
+        keys = np.sort(tab.parent * (len(tab.vocab) + 1) + tab.ids)
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        runs = np.diff(np.append(starts, len(keys)))
+        np.maximum.at(top, keys[starts] // (len(tab.vocab) + 1), runs)
+    ntok = tab.counts
+    ratio = np.divide(top, ntok, out=np.zeros(n), where=ntok > 0)
+    hit = (ntok >= min_tokens) & (ratio >= max_top_ratio)
+    return t.per_ascii(hit[t.ascii], lambda v: repetition_one(v, max_top_ratio, min_tokens))
+
+
+def char_run_one(v, run_len: int = 5) -> bool:
+    rx = _CHAR_RUN_RE if run_len == 5 else re.compile(r"(.)\1{%d,}" % (run_len - 1))
+    return v is not None and bool(rx.search(v))
 
 
 def char_run_mask(values, run_len: int = 5) -> np.ndarray:
     """Any character repeated ≥ run_len times consecutively
-    (DuplicateCharEraser precedent). Not used in SQL-oracled chains (RE2
-    has no backreferences)."""
-    rx = _CHAR_RUN_RE if run_len == 5 else re.compile(r"(.)\1{%d,}" % (run_len - 1))
-    return np.array([v is not None and bool(rx.search(v)) for v in _np(values)], dtype=bool)
+    (DuplicateCharEraser precedent; ``.`` excludes ``\\n``). Not used in
+    SQL-oracled chains (RE2 has no backreferences)."""
+    if run_len < 1:
+        raise ValueError(f"run_len must be >= 1, got {run_len}")
+    t = TextBatch.of(values)
+    data, off = t.codes
+    # same[j]: byte j+1 equals byte j, both in one row
+    same = data[1:] == data[:-1]
+    inner = off[1:-1]
+    same[inner[(inner > 0) & (inner < len(data))] - 1] = False
+    start = data[: max(0, len(data) - run_len + 1)] != 10
+    for j in range(run_len - 1):
+        start &= same[j: j + len(start)]
+    rows = np.searchsorted(off, np.flatnonzero(start), side="right") - 1
+    hit = np.zeros(len(off) - 1, dtype=bool)
+    hit[rows] = True
+    return t.per_ascii(hit, lambda v: char_run_one(v, run_len))
+
+
+def stopword_density_one(v, min_ratio: float = 0.08, min_tokens: int = 8,
+                         stopwords: frozenset = EN_STOPWORDS) -> bool:
+    if v is None:
+        return False
+    toks = v.lower().split()
+    if len(toks) < min_tokens:
+        return False
+    hits = 0
+    for tok in toks:
+        hits += tok in stopwords
+    return hits / len(toks) < min_ratio
 
 
 def stopword_density_mask(
     values, min_ratio: float = 0.08, min_tokens: int = 8, stopwords: frozenset = EN_STOPWORDS
 ) -> np.ndarray:
     """Keyword-stuffing: long caption with almost no function words."""
-    out = np.zeros(len(values), dtype=bool)
-    for i, v in enumerate(_np(values)):
-        if v is None:
-            continue
-        toks = v.lower().split()
-        if len(toks) < min_tokens:
-            continue
-        hits = sum(1 for t in toks if t in stopwords)
-        out[i] = hits / len(toks) < min_ratio
-    return out
+    t = TextBatch.of(values)
+    tab = t.words
+    ntok = tab.counts
+    hits = tab.per_row_sum(tab.vocab_mask(stopwords))
+    ratio = np.divide(hits, ntok, out=np.zeros(len(t)), where=ntok > 0)
+    hit = (ntok >= min_tokens) & (ratio < min_ratio)
+    return t.per_ascii(hit[t.ascii],
+                       lambda v: stopword_density_one(v, min_ratio, min_tokens, stopwords))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from __future__ import annotations
 import re
 
 import numpy as np
+import pyarrow.compute as pc
+
+from .tokens import TextBatch
 
 # Pattern strings shared verbatim with the DuckDB oracle (RE2-safe).
 EMAIL_PATTERN = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
@@ -44,27 +47,58 @@ TOXIC_MASK = "****"
 _TOXIC_RE = re.compile(r"\b(?:" + "|".join(TOXIC_LEXICON) + r")\b", re.IGNORECASE)
 
 
-def _scrub(values: np.ndarray, rx: re.Pattern, token: str) -> np.ndarray:
-    return np.array(
-        [v if v is None else rx.sub(token, v) for v in np.asarray(values, dtype=object)],
-        dtype=object,
-    )
+def _scrub(values, rx: re.Pattern, token: str, can_match) -> np.ndarray:
+    """``rx.sub(token, v)`` on the rows ``can_match(TextBatch)`` admits (a
+    superset of the rows the pattern matches); the rest pass through."""
+    t = TextBatch.of(values)
+    out = t.values.copy()
+    for i in np.flatnonzero(can_match(t)):
+        out[i] = rx.sub(token, out[i])
+    return out
+
+
+def _has(pattern: str):
+    return lambda t: pc.fill_null(pc.match_substring_regex(t.arr, pattern), False).to_numpy(
+        zero_copy_only=False)
+
+
+# EMAIL_PATTERN needs an '@'; SSN and PHONE patterns need an ASCII digit
+_HAS_AT, _HAS_DIGIT = _has("@"), _has("[0-9]")
+
+
+def _maybe_toxic(t) -> np.ndarray:
+    # IGNORECASE folds non-ASCII letters too (e.g. 'ſ' ~ 's'), so only ASCII
+    # rows can be cleared by the lower-cased lexicon substring test
+    low = pc.fill_null(pc.match_substring_regex(t.arr, "|".join(TOXIC_LEXICON),
+                                                ignore_case=True), False)
+    other = ~t.ascii & t.arr.is_valid().to_numpy(zero_copy_only=False)
+    return low.to_numpy(zero_copy_only=False) | other
+
+
+def _sub_one(rx: re.Pattern, token: str):
+    return lambda v: v if v is None else rx.sub(token, v)
+
+
+scrub_email_one = _sub_one(_EMAIL_RE, EMAIL_TOKEN)
+scrub_ssn_one = _sub_one(_SSN_RE, SSN_TOKEN)
+scrub_phone_one = _sub_one(_PHONE_RE, PHONE_TOKEN)
+scrub_toxic_one = _sub_one(_TOXIC_RE, TOXIC_MASK)
 
 
 def scrub_email(values) -> np.ndarray:
-    return _scrub(values, _EMAIL_RE, EMAIL_TOKEN)
+    return _scrub(values, _EMAIL_RE, EMAIL_TOKEN, _HAS_AT)
 
 
 def scrub_ssn(values) -> np.ndarray:
-    return _scrub(values, _SSN_RE, SSN_TOKEN)
+    return _scrub(values, _SSN_RE, SSN_TOKEN, _HAS_DIGIT)
 
 
 def scrub_phone(values) -> np.ndarray:
-    return _scrub(values, _PHONE_RE, PHONE_TOKEN)
+    return _scrub(values, _PHONE_RE, PHONE_TOKEN, _HAS_DIGIT)
 
 
 def scrub_toxic(values) -> np.ndarray:
-    return _scrub(values, _TOXIC_RE, TOXIC_MASK)
+    return _scrub(values, _TOXIC_RE, TOXIC_MASK, _maybe_toxic)
 
 
 # ---------------------------------------------------------------------------

@@ -174,20 +174,26 @@ def dbscan(ds, id_col: str, vec_col: str, eps: float = 0.65,
     """→ (id, role ∈ core/border/noise, cluster) for every row; noise
     rows carry cluster = -1. ``output="dataset"`` keeps the pair set, the
     degree count, the components AND the border attachment distributed —
-    see module docstring for the one driver-bounded structure left."""
+    see module docstring for the one driver-bounded structure left.
+    ``output="pandas"`` labels on the driver when the eps-pairs pass the
+    ``collect_rows`` gate, else takes the distributed route and collects
+    only its labels (one row per input row)."""
+    pair_ds = eps_pairs_blocked(ds, id_col, vec_col, eps, n_blocks=n_blocks,
+                                output="dataset").materialize()
     if output == "dataset":
-        return _dbscan_dataset(ds, id_col, vec_col, eps, min_pts, n_blocks)
-    pairs = eps_pairs_blocked(ds, id_col, vec_col, eps, n_blocks=n_blocks)
-    if not fits("dbscan.dbscan.pairs", len(pairs), "collect_rows"):
-        raise ValueError(
-            f"{len(pairs)} eps-pairs exceed the collect_rows size gate "
-            "— use output='dataset'")
+        return _dbscan_dataset(ds, id_col, min_pts, pair_ds)
+    if not fits("dbscan.dbscan.pairs", pair_ds.count(), "collect_rows"):
+        out = _dbscan_dataset(ds, id_col, min_pts, pair_ds).to_pandas()
+        out["cluster"] = out["cluster"].astype("int64")
+        return out.sort_values(id_col).reset_index(drop=True)
+    pairs = pair_ds.to_pandas()
+    pairs = (_empty_pairs() if pairs.empty
+             else pairs.sort_values(["id_a", "id_b"]).reset_index(drop=True))
     ids = ds.select_columns([id_col]).to_pandas()[id_col].to_numpy()
     return _label_frame(ids, pairs, min_pts, id_col)
 
 
-def _dbscan_dataset(ds, id_col: str, vec_col: str, eps: float, min_pts: int,
-                    n_blocks: int | None):
+def _dbscan_dataset(ds, id_col: str, min_pts: int, pair_ds):
     """Distributed route: pairs stay a Dataset; degrees ride the
     hash-bucketed grouped aggregate; components run via
     distributed_components(as_dataset=True); the core-core label map
@@ -207,9 +213,7 @@ def _dbscan_dataset(ds, id_col: str, vec_col: str, eps: float, min_pts: int,
         # "label every row with itself", not a clustering job
         raise ValueError("output='dataset' requires min_pts >= 2")
 
-    pair_ds = eps_pairs_blocked(ds, id_col, vec_col, eps,
-                                n_blocks=n_blocks, output="dataset")
-    pair_ds = pair_ds.materialize()  # consumed 3× below — pay the matmuls once
+    # pair_ds is materialized: consumed 3× below — pay the matmuls once
 
     def ends(b: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({

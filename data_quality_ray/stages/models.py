@@ -6,7 +6,8 @@ dataquality-text-japanese tokenization/TextTokenizerBase.java:19-56,
 dataquality-wordnet WordNetDictionary.getInstance:46). In Ray Data they are
 held inside a callable class passed to ``map_batches(Cls, concurrency=N)``:
 construction happens once per actor in ``__init__``, scoring per batch in
-``__call__`` (see stages/quality.py).
+``__call__`` (see ``pipelines/quality_filter.QualityFilterStage``), or once
+per worker process (``process_model``).
 
 - ``HeuristicLangID``: fastText-style lightweight language identifier —
   charset check (CJK) + function-word profiles for {en,es,fr,de}. Fully
@@ -15,7 +16,9 @@ construction happens once per actor in ``__init__``, scoring per batch in
   smoothing, trained at init on the deterministic in-domain corpus
   (stages/corpus.py). High perplexity ⇒ word salad.
 
-Both memoize per distinct value (LFUCache analog) since captions repeat.
+Both score a batch as columnar kernels over a ``rules.tokens.TextBatch``
+(ASCII rows; nulls and non-ASCII rows go through ``predict_one`` /
+``perplexity_one``, once per distinct value).
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ import re
 from collections import Counter
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..functions.text import unique_apply
 from ..rules.heuristics import round_half_away
+from ..rules.tokens import TextBatch
 from .corpus import training_sentences
 
 _PROCESS_MODELS: dict = {}
@@ -69,6 +74,11 @@ class HeuristicLangID:
         for li, lang in enumerate(_LANG_ORDER):
             for w in _LANG_MARKERS[lang]:
                 self._tok_langs[w] = self._tok_langs.get(w, ()) + (li,)
+        # the same table as arrays: marker words and a (word, lang) 0/1 matrix
+        self._words = pa.array(sorted(self._tok_langs), type=pa.string())
+        self._word_langs = np.zeros((len(self._words), len(_LANG_ORDER)), dtype=np.int64)
+        for wi, w in enumerate(self._words.to_pylist()):
+            self._word_langs[wi, list(self._tok_langs[w])] = 1
 
     def predict_one(self, text: str | None) -> str:
         if not text:
@@ -96,7 +106,21 @@ class HeuristicLangID:
         return best_lang
 
     def predict(self, values) -> np.ndarray:
-        return unique_apply(np.asarray(values, dtype=object), self.predict_one)
+        """``predict_one`` of every value. ASCII rows: marker hits per
+        language from the letter-run token table, argmax in _LANG_ORDER
+        order (the first strictly greater score wins), 'unknown' on no hit."""
+        t = TextBatch.of(values)
+        tab = t.letters
+        marker = pc.index_in(tab.vocab, value_set=self._words)
+        marker = pc.fill_null(marker, len(self._words)).to_numpy()[tab.ids]
+        hit = marker < len(self._words)
+        rows, langs = tab.parent[hit], self._word_langs[marker[hit]]
+        scores = np.stack([np.bincount(rows[langs[:, li] > 0], minlength=len(t))
+                           for li in range(len(_LANG_ORDER))], axis=1)
+        best = scores.argmax(axis=1)
+        pred = np.where(scores.max(axis=1) > 0, np.array(_LANG_ORDER, dtype=object)[best],
+                        "unknown")
+        return t.per_ascii(pred[t.ascii], self.predict_one, dtype=object)
 
 
 class NgramPerplexity:
@@ -131,6 +155,21 @@ class NgramPerplexity:
             p: math.log((0 + self.k) / (c + self.k * self.V)) for p, c in self.uni.items()
         }
         self._logp_miss_unk = math.log((0 + self.k) / (0 + self.k * self.V))
+        # the same model as arrays, built once per instance: LM word ids
+        # (UNK last unless the corpus has it), sorted int64 bigram keys
+        # prev·W + w with their log-probs, and the per-prev miss log-prob
+        words = sorted(self.vocab)
+        self._lm_words = pa.array(words, type=pa.string())
+        ids = {w: i for i, w in enumerate(words)}
+        self._unk = ids.get(self.UNK, len(words))
+        self._bos = ids[self.BOS]
+        self._W = len(words) + 1
+        keys = np.array([ids[p] * self._W + ids[w] for p, w in self._logp_pair], dtype=np.int64)
+        order = np.argsort(keys)
+        self._pair_keys = keys[order]
+        self._pair_lp = np.array(list(self._logp_pair.values()), dtype=np.float64)[order]
+        self._miss_lp = np.array([self._logp_miss.get(w, self._logp_miss_unk) for w in words]
+                                 + [self._logp_miss.get(self.UNK, self._logp_miss_unk)])
 
     def _pair_logp(self, prev: str, w: str) -> float:
         lp = self._logp_pair.get((prev, w))
@@ -151,7 +190,44 @@ class NgramPerplexity:
         return math.exp(-lp / (len(toks) - 1))
 
     def perplexity(self, values) -> np.ndarray:
-        return unique_apply(np.asarray(values, dtype=object), self.perplexity_one).astype(np.float64)
+        """``perplexity_one`` of every value, bit for bit. ASCII rows: LM ids
+        of the ``lower().split()`` token table, bigram keys looked up by
+        ``searchsorted``, and each row's log-probs added left to right
+        (``_ordered_row_sums``) as ``perplexity_one`` does."""
+        t = TextBatch.of(values)
+        tab = t.words
+        lm = pc.fill_null(pc.index_in(tab.vocab, value_set=self._lm_words), self._unk)
+        cur = lm.to_numpy()[tab.ids].astype(np.int64)
+        prev = np.empty_like(cur)
+        prev[1:] = cur[:-1]
+        prev[tab.position == 0] = self._bos
+        keys = prev * self._W + cur
+        pos = np.minimum(np.searchsorted(self._pair_keys, keys), len(self._pair_keys) - 1)
+        lp = np.where(self._pair_keys[pos] == keys, self._pair_lp[pos], self._miss_lp[prev])
+        n = tab.counts
+        mean = -_ordered_row_sums(lp, tab.position, tab.parent, n) / np.maximum(n, 1)
+        # math.exp, not np.exp: the two may differ in the last bit
+        ppl = np.array([math.exp(x) if c else math.inf for x, c in zip(mean.tolist(), n.tolist())])
+        return t.per_ascii(ppl[t.ascii], self.perplexity_one, dtype=np.float64)
+
+
+def _ordered_row_sums(x: np.ndarray, position: np.ndarray, parent: np.ndarray,
+                      counts: np.ndarray) -> np.ndarray:
+    """Per row, ``0.0 + x[0] + x[1] + …`` in that order (``np.add.reduceat``
+    and ``np.sum`` sum pairwise, which can move the last bit). Rows sorted by
+    descending length put position p's terms in one contiguous run over the
+    first k_p rows, so the loop is one vector add per position."""
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    active = np.bincount(counts, minlength=1)[::-1].cumsum()[::-1][1:]  # rows longer than p
+    row_start = np.concatenate(([0], np.cumsum(active)))
+    by_pos = np.empty(len(x))
+    by_pos[row_start[position] + rank[parent]] = x
+    acc = np.zeros(len(counts))
+    for p, k in enumerate(active.tolist()):
+        acc[:k] += by_pos[row_start[p]: row_start[p] + k]
+    return acc[rank]
 
 
 class HashedLinearQuality:

@@ -198,6 +198,37 @@ def test_int_key_with_nulls_in_some_blocks_meets_once(ray_session):
     assert _one_call_per_key(out, ["k"])
 
 
+def test_null_key_kinds_meet_once(ray_session):
+    """A key column all-null in one block (object None in pandas) and
+    float with NaN in another: every null key meets in one call, as does
+    every other key."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    ds = rd.from_arrow([
+        pa.table({"k": pa.array([None] * 3, type=pa.null()), "v": [0, 1, 2]}),
+        pa.table({"k": [1.5, None, 3.0], "v": [3, 4, 5]}),
+        pa.table({"k": pa.array([None, None], type=pa.null()), "v": [6, 7]}),
+    ])
+
+    def fn(g: pd.DataFrame) -> pd.DataFrame:
+        return g.assign(call=uuid.uuid4().hex)
+
+    out = bucket_exchange(ds, "k", fn, 8).to_pandas()
+    assert sorted(out["v"]) == list(range(8))
+    assert out.loc[out["k"].isna(), "call"].nunique() == 1
+    assert _one_call_per_key(out, ["k"])
+
+
+def test_null_kinds_hash_alike():
+    from data_quality_ray.functions.exchange import _key_hash
+
+    frames = [pd.DataFrame({"k": pd.Series([None], dtype=object)}),
+              pd.DataFrame({"k": [np.nan]}), pd.DataFrame({"k": pd.Series([pd.NaT])}),
+              pd.DataFrame({"k": pd.array([pd.NA], dtype="Int64")})]
+    assert len({int(_key_hash(f, ["k"])[0]) for f in frames}) == 1
+
+
 def test_skew_record(ray_session):
     """Each exchange records (keys, buckets, rows in, max and median rows
     per bucket); one key puts every row in one bucket."""

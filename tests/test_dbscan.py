@@ -101,3 +101,17 @@ def test_dbscan_min_pts_one_isolated_cores(ray_session):
     # every point is a singleton core cluster of itself
     assert (out["role"] == "core").all()
     assert (out["cluster"] == out["vec_id"]).all()
+
+
+def test_dbscan_forced_paths_agree(ray_session, force_path):
+    """The pair gate's shuffle path labels through the distributed route
+    and returns the same frame as the driver-side labelling."""
+    import ray.data as rd
+
+    ds = rd.from_pandas(_mk(n=120, seed=9))
+    force_path("collect")
+    collected = dbscan(ds, "vec_id", "embedding", eps=0.4, min_pts=3, n_blocks=4)
+    force_path("shuffle")
+    shuffled = dbscan(ds, "vec_id", "embedding", eps=0.4, min_pts=3, n_blocks=4)
+    pd.testing.assert_frame_equal(collected, shuffled)
+    assert (collected["role"] == "core").any() and (collected["role"] == "noise").any()

@@ -85,11 +85,19 @@ def test_phase1_stage_timings(north_run):
     st = stats["phase1_stage_s"]
     assert set(st) == set(PHASE1_STAGES)
     assert all(0 < v < 60 for v in st.values())
+    # per-rule times: every rule of the chain, together within the rules stage
+    from data_quality_ray.pipelines.quality_filter import build_image_chain
+
+    engine = build_image_chain()
+    rules = stats["phase1_rule_s"]
+    assert list(rules) == [r.name for r in engine.drop_rules + engine.scrub_rules]
+    assert 0 < sum(rules.values()) <= st["rules"]
 
 
 def test_phase1_stage_timing_rows(f1_dir, tmp_path):
-    """One ``Phase1Stage`` batch returns one ``t:<stage>`` row per stage under
-    ``TIMING_FRAGMENT``, beside the batch's verdict/rule tallies."""
+    """One ``Phase1Stage`` batch returns one ``t:<stage>`` row per stage and
+    one ``t:rule:<rule>`` row per rule under ``TIMING_FRAGMENT``, beside the
+    batch's verdict/rule tallies."""
     import glob
 
     import pyarrow as pa
@@ -98,11 +106,13 @@ def test_phase1_stage_timing_rows(f1_dir, tmp_path):
 
     t = pq.read_table(sorted(glob.glob(f1_dir + "/part-*.parquet"))[0])
     t = t.append_column("fragment", pa.array([3] * len(t), type=pa.int32()))
-    res = Phase1Stage(str(tmp_path))(t)
+    stage = Phase1Stage(str(tmp_path))
+    res = stage(t)
     rows = res.filter(res["key"].is_valid()).to_pylist()
     timing = [r for r in rows if r["key"].startswith("t:")]
     tallies = [r for r in rows if not r["key"].startswith("t:")]
-    assert sorted(r["key"] for r in timing) == sorted("t:" + s for s in PHASE1_STAGES)
+    assert sorted(r["key"] for r in timing) == sorted(
+        ["t:" + s for s in PHASE1_STAGES] + ["t:" + k for k in stage.rule_keys])
     assert all(r["fragment"] == TIMING_FRAGMENT and r["n"] > 0 for r in timing)
     assert {r["fragment"] for r in tallies} == {3}
     assert sum(r["n"] for r in tallies if r["key"].startswith("verdict:")) == len(t)
@@ -259,7 +269,7 @@ def test_phase1_stage_slices_its_block(f1_dir, tmp_path):
     stage = Phase1Stage(str(tmp_path / "b"), batch_size=k)
     sliced = [split(stage(block.slice(s, k))) for s in range(0, len(block), k)]
     assert len(sliced) == 3
-    assert whole[0] == ["t:" + s for s in PHASE1_STAGES]
+    assert whole[0] == ["t:" + s for s in PHASE1_STAGES] + ["t:" + k for k in stage.rule_keys]
     assert whole[1] == sum((s[1] for s in sliced), Counter())
     assert sum(whole[1][key] for key in whole[1] if key[1].startswith("verdict:")) == len(block)
     assert whole[2] == sorted(w for s in sliced for w in s[2])
