@@ -20,13 +20,13 @@ def _profile_table(args) -> dict:
     text-length per column (single composite pass), plus uniqueness +
     entropy + IQR-fence table rules from profiling/datarules."""
     import pyarrow as pa
-    import ray.data as rd
 
     from .profiling.analyzers import profile
     from .profiling.datarules import (grouped_entropy, iqr_outlier_fences,
                                       uniqueness_profile)
+    from .sources.io import read_parquet_sized
 
-    ds = rd.read_parquet(args.input_path)
+    ds = read_parquet_sized(args.input_path)
     schema = ds.schema()
     cols = (args.cols.split(",") if args.cols else list(schema.names))
     types = dict(zip(schema.names, schema.types))

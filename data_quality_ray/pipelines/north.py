@@ -52,7 +52,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..dedup.simhash import hamming64_pairs
-from ..sources.io import cluster_cpus, parquet_bytes, read_parquet_sized, session_block_count
+from ..sources.io import (cluster_cpus, parquet_bytes, plan_units, read_parquet_sized,
+                          session_block_count)
 from ..stages.image import decode, phash64_batch
 from ..state.manifest import Manifest
 from .quality_filter import build_image_chain
@@ -233,10 +234,11 @@ def _phase1_task(unit: list[tuple[int, str, list[int]]], screens: list, filtered
 
 def _phase1_units(wave: list[tuple[int, str]],
                   skipped: list[dict] | None = None) -> list[list[tuple[int, str, list[int]]]]:
-    """``session_block_count(wave bytes)`` units of work, each a list of
-    ``(fragment, path, row groups)``: runs of whole contiguous files, or —
-    when the wave has fewer files than units — runs of contiguous row
-    groups, at most one unit per row group, so no byte is read twice.
+    """``sources.io.plan_units`` over ``session_block_count(wave bytes)``
+    units, each a list of ``(fragment, path, row groups)``: runs of whole
+    contiguous files, or — when the wave has fewer files than units — runs
+    of contiguous row groups, at most one unit per row group, so no byte
+    is read twice.
 
     A footer that fails to read raises, unless ``skipped`` is a list: then
     the file gets a skip record there and no unit."""
@@ -248,14 +250,9 @@ def _phase1_units(wave: list[tuple[int, str]],
             if skipped is None:
                 raise
             skipped.append({"fragment": frag, "file": path, "error": f"{type(e).__name__}: {e}"})
-    n = session_block_count(parquet_bytes(md for _, _, md in readable))
-    if len(readable) >= n:
-        items = [(frag, path, list(range(md.num_row_groups))) for frag, path, md in readable]
-    else:
-        items = [(frag, path, [g]) for frag, path, md in readable
-                 for g in range(md.num_row_groups)]
-    return [[items[i] for i in idx]
-            for idx in np.array_split(np.arange(len(items)), n) if len(idx)]
+    footers = [md for _, _, md in readable]
+    units = plan_units(footers, session_block_count(parquet_bytes(footers)))
+    return [[(readable[i][0], readable[i][1], groups) for i, groups in unit] for unit in units]
 
 
 def _bounded(submit, items):

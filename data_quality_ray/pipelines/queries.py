@@ -41,14 +41,18 @@ from ..stages.models import HeuristicLangID, NgramPerplexity
 
 
 def _read(sf_dir: str, table: str, columns=None, blocks: int | None = None):
-    """Unset ``blocks`` sizes the read by ``sources.io.read_block_count``:
-    ``max(2 × CPUs, ceil(bytes / target_max_block_size))`` — Ray's own
-    rule ``max(min(200, bytes / 1 MiB), 2 × CPUs, bytes / 128 MiB)``
-    without its 200 term. ``blocks`` caps LIGHT filter/project dimension
-    reads below the 2×CPU split — 64 tiny task launches on a 1 MB file
-    cost ~5× the read itself (measured 0.39 → 0.08 s warm on the sf0.1
-    customer table, 32 CPUs). Leave it unset for any read feeding
-    CPU-heavy per-row stages (small block counts serialize them)."""
+    """``sources.io.read_parquet_sized`` of one table. Unset ``blocks``
+    plans ``max(2 × CPUs, ceil(bytes / target_max_block_size))`` blocks
+    (``read_block_count``). A table with at least as many row groups as
+    CPUs is read by one task per unit, fused with the first map; a table
+    with fewer (these are one row group each) is read by one task whose
+    output Ray splits into the planned blocks, so CPU-heavy maps still
+    fan out — on 1 CPU it is always one fused task. ``blocks`` caps LIGHT
+    filter/project dimension reads below the 2×CPU split — 64 tiny task
+    launches on a 1 MB file cost ~5× the read itself (measured 0.39 →
+    0.08 s warm on the sf0.1 customer table, 32 CPUs). Leave it unset for
+    any read feeding CPU-heavy per-row stages (small block counts
+    serialize them)."""
     return read_parquet_sized(f"{sf_dir}/{table}.parquet", columns=columns, blocks=blocks)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 
 def _batch_topk(ids: np.ndarray, sims: np.ndarray, k: int) -> pd.DataFrame:
@@ -151,22 +152,28 @@ def train_ivf_centroids(ds, vec_col: str, n_lists: int = 16, sample_rows: int = 
 
 
 class IVFAssignStage:
-    """Appends an ``ivf_list`` int column = nearest-centroid id. The
-    centroid matrix rides the object store once (``ray.put`` by the
-    caller) — not re-shipped per batch."""
+    """Appends an ``ivf_list`` int column = nearest-centroid id to a pandas
+    batch or an Arrow table. The centroid matrix rides the object store
+    once (``ray.put`` by the caller) — not re-shipped per batch."""
 
     def __init__(self, centroids_ref, vec_col: str = "embedding"):
         self.centroids_ref = centroids_ref
         self.vec_col = vec_col
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def _lists(self, vecs) -> np.ndarray:
         from ..functions.broadcast import cached_get
 
         cent = cached_get(self.centroids_ref)
-        mat = np.stack(batch[self.vec_col].to_numpy()).astype(np.float64)
+        mat = np.stack(vecs).astype(np.float64)
         mat = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+        return np.argmax(mat @ cent.T, axis=1).astype(np.int64)
+
+    def __call__(self, batch):
+        if isinstance(batch, pa.Table):
+            vecs = batch[self.vec_col].to_numpy(zero_copy_only=False)
+            return batch.append_column("ivf_list", pa.array(self._lists(vecs)))
         batch = batch.copy()
-        batch["ivf_list"] = np.argmax(mat @ cent.T, axis=1).astype(np.int64)
+        batch["ivf_list"] = self._lists(batch[self.vec_col].to_numpy())
         return batch
 
 
@@ -184,7 +191,11 @@ def build_ivf_store(ds, store_dir: str, vec_col: str = "embedding",
 
     cent = train_ivf_centroids(ds, vec_col, n_lists, sample_rows, seed=seed)
     cent_ref = ray.put(cent)
-    assigned = ds.map_batches(IVFAssignStage(cent_ref, vec_col), batch_format="pandas")
+    # an Arrow map keeps the vector column's own Arrow type in the store: a
+    # pandas map would write Ray's tensor extension type, whose pandas
+    # metadata names Ray's pandas ``TensorDtype``, and any process that has
+    # not registered that dtype then fails to read the store into pandas
+    assigned = ds.map_batches(IVFAssignStage(cent_ref, vec_col), batch_format="pyarrow")
     assigned.write_parquet(store_dir, partition_cols=["ivf_list"])
     tmp = os.path.join(store_dir, "._centroids.tmp")
     np.save(tmp + ".npy", cent)
@@ -239,16 +250,16 @@ def ivf_topk_store(store_dir: str, id_col: str, vec_col: str, query: np.ndarray,
     import os
 
     import ray
-    import ray.data as rd
 
     from ..functions.broadcast import cached_get
+    from ..sources.io import read_parquet_sized
 
     qn, probe_dirs, all_dirs = _ivf_probe_dirs(store_dir, query, nprobe)
     if not probe_dirs:
         return pd.DataFrame({"id": [], "sim": []}), {"rows_scanned": 0, "rows_total": 0}
     probe_files = sorted(f for d in probe_dirs
                          for f in glob.glob(os.path.join(d, "*.parquet")))
-    pruned = rd.read_parquet(probe_files, columns=[id_col, vec_col])
+    pruned = read_parquet_sized(probe_files, columns=[id_col, vec_col])
     q_ref = ray.put(qn)
 
     def score(batch: pd.DataFrame) -> pd.DataFrame:

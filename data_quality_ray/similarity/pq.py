@@ -262,8 +262,7 @@ def ivfpq_topk_store(store_dir: str, id_col: str, query: np.ndarray,
     import json
     import os
 
-    import ray.data as rd
-
+    from ..sources.io import read_parquet_sized
     from .knn import _ivf_probe_dirs, ivf_scan_stats
 
     books = np.load(os.path.join(store_dir, "_pq_books.npy"))
@@ -282,7 +281,7 @@ def ivfpq_topk_store(store_dir: str, id_col: str, query: np.ndarray,
     if not residual:
         files = sorted(f for d in probe_dirs
                        for f in glob.glob(os.path.join(d, "*.parquet")))
-        codes = rd.read_parquet(files, columns=cols)
+        codes = read_parquet_sized(files, columns=cols)
         return pq_topk(codes, id_col, books, qn, k=k), stats
     # residual store: one LUT per probed list (q − centroid[l]). All
     # probed lists scan in ONE dataset job — file-level pruning keeps
@@ -304,7 +303,7 @@ def ivfpq_topk_store(store_dir: str, id_col: str, query: np.ndarray,
     ref = ray.put(lut3)
     files = sorted(f for d in probe_dirs
                    for f in glob.glob(os.path.join(d, "*.parquet")))
-    codes = rd.read_parquet(files, columns=[*cols, "list_id"])
+    codes = read_parquet_sized(files, columns=[*cols, "list_id"])
 
     def part(b: pd.DataFrame) -> pd.DataFrame:
         t = cached_get(ref)

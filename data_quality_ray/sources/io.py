@@ -7,9 +7,19 @@ sources/fixtures.write_f1). Other formats map to the matching
 ``ray.data`` reader (the AvroUtils.streamAvroFile analog for Avro —
 common/util/AvroUtils.java:194).
 
-``read_parquet_sized`` is the pipelines' parquet reader: it sizes the
-read's block count to the cluster's CPUs and the data's uncompressed
-bytes instead of Ray's fixed 200-block starting point.
+``read_parquet_sized`` is the package's parquet reader. It reads every
+footer once, sizes the read to the session's CPUs and the data's
+uncompressed bytes (``read_block_count``, not Ray's fixed 200-block
+starting point), cuts the files into units of work (``plan_units``:
+runs of whole files, or runs of row groups) and hands Ray one read task
+per unit through a small ``Datasource`` (``sources/footer_source``)
+whose block metadata comes from those footers: no second metadata pass
+and no sampling task. Ray never fuses a read whose output it splits
+(``SplitBlocks``) with the next map, so the read asks for one block per
+unit whenever there are at least as many units as CPUs
+(``read_blocks``); then each task reads and maps its unit without an
+object-store hop. Phase 1 of the flagship (``pipelines/north``) plans
+its units with the same ``plan_units``.
 """
 
 from __future__ import annotations
@@ -17,6 +27,9 @@ from __future__ import annotations
 import glob
 import math
 import os
+
+import numpy as np
+import pyarrow.parquet as pq
 
 
 def read_block_count(cpus: int, nbytes: int, target_max_block_size: int | None,
@@ -40,27 +53,28 @@ def parquet_bytes(footers, columns: list[str] | None = None) -> int:
     """Uncompressed bytes of ``columns`` (all when None) summed from
     parquet footers (``pq.FileMetaData``) — no data page is read."""
     wanted = set(columns) if columns is not None else None
-    total = 0
-    for md in footers:
-        for i in range(md.num_row_groups):
-            rg = md.row_group(i)
-            if wanted is None:
-                total += rg.total_byte_size
-                continue
-            for j in range(rg.num_columns):
-                col = rg.column(j)
-                if col.path_in_schema.split(".")[0] in wanted:
-                    total += col.total_uncompressed_size
-    return total
+    return sum(_group_bytes(md.row_group(i), wanted)
+               for md in footers for i in range(md.num_row_groups))
+
+
+def _group_bytes(rg, wanted: set[str] | None) -> int:
+    if wanted is None:
+        return rg.total_byte_size
+    return sum(rg.column(j).total_uncompressed_size for j in range(rg.num_columns)
+               if rg.column(j).path_in_schema.split(".")[0] in wanted)
 
 
 def _parquet_files(paths) -> list[str]:
     """The parquet files under ``paths`` (a file, a directory — searched
-    recursively, hidden tmp files skipped — or a list of either)."""
+    recursively, skipping any entry whose name starts with ``.`` or ``_``
+    (tmp files, ``_labels.parquet``), as Ray's reader does — or a list of
+    either)."""
     out = []
     for p in [paths] if isinstance(paths, str) else paths:
         if os.path.isdir(p):
-            out += sorted(glob.glob(os.path.join(p, "**", "*.parquet"), recursive=True))
+            out += [f for f in sorted(glob.glob(os.path.join(p, "**", "*.parquet"), recursive=True))
+                    if not any(part.startswith(("_", "."))
+                               for part in os.path.relpath(f, p).split(os.sep))]
         else:
             out.append(p)
     return out
@@ -85,18 +99,51 @@ def session_block_count(nbytes: int) -> int:
                             rd.DataContext.get_current().target_max_block_size)
 
 
+def plan_units(footers, n: int) -> list[list[tuple[int, list[int]]]]:
+    """At most ``n`` units of work over parquet files (their footers, in
+    read order), each a list of ``(file index, row groups)``: runs of
+    whole contiguous files when there are at least as many files as
+    units, otherwise runs of contiguous row groups, at most one unit per
+    row group (a file without row groups is one empty item). No byte is
+    read twice."""
+    if len(footers) >= n:
+        items = [(i, list(range(md.num_row_groups))) for i, md in enumerate(footers)]
+    else:
+        items = [item for i, md in enumerate(footers)
+                 for item in [(i, [g]) for g in range(md.num_row_groups)] or [(i, [])]]
+    return [[items[i] for i in idx]
+            for idx in np.array_split(np.arange(len(items)), n) if len(idx)]
+
+
+def read_blocks(n_units: int, n: int, cpus: int) -> int:
+    """Blocks a read of ``n_units`` units asks Ray for, ``n`` planned. One
+    per unit when there are at least as many units as CPUs: Ray then adds
+    no ``SplitBlocks`` and fuses each read task with the next map.
+    Otherwise ``n``: Ray splits each unit's output so that CPU-heavy maps
+    still fan out to every CPU (a one-row-group table on many CPUs)."""
+    return n_units if n_units >= cpus else n
+
+
 def read_parquet_sized(paths, columns: list[str] | None = None,
                        blocks: int | None = None):
-    """``ray.data.read_parquet`` with ``override_num_blocks`` from
-    :func:`read_block_count`: CPUs from ``ray.cluster_resources()``,
-    bytes from the files' footers. ``blocks`` overrides the rule."""
-    import pyarrow.parquet as pq
+    """Parquet files (``paths``: a file, a directory or a list of either;
+    columns stored in-file, no hive partition columns) as a Dataset of
+    ``read_blocks`` blocks: ``plan_units`` over
+    :func:`session_block_count` of the footers' bytes, or over ``blocks``
+    when given. Each read task reads its unit with ``pyarrow.parquet``,
+    one table per row group, projected to ``columns``."""
     import ray.data as rd
 
-    if not blocks:
-        footers = [pq.read_metadata(f) for f in _parquet_files(paths)]
-        blocks = session_block_count(parquet_bytes(footers, columns))
-    return rd.read_parquet(paths, columns=columns, override_num_blocks=blocks)
+    from .footer_source import FooterParquet
+
+    files = _parquet_files(paths)
+    if not files:
+        raise FileNotFoundError(f"no parquet files in {paths!r}")
+    footers = [pq.read_metadata(f) for f in files]
+    n = blocks or session_block_count(parquet_bytes(footers, columns))
+    units = plan_units(footers, n)
+    return rd.read_datasource(FooterParquet(files, footers, units, columns),
+                              override_num_blocks=read_blocks(len(units), n, cluster_cpus()))
 
 
 def read_images(path: str, columns: list[str] | None = None):
@@ -110,7 +157,7 @@ def read_images(path: str, columns: list[str] | None = None):
             return rd.read_lance(lance_path, columns=columns)
         except (ImportError, AttributeError):
             pass
-    return rd.read_parquet(path, columns=columns)
+    return read_parquet_sized(path, columns=columns)
 
 
 def read_any(path: str, fmt: str | None = None, **kwargs):
@@ -120,7 +167,7 @@ def read_any(path: str, fmt: str | None = None, **kwargs):
 
     fmt = fmt or os.path.splitext(path)[1].lstrip(".").lower() or "parquet"
     readers = {
-        "parquet": rd.read_parquet,
+        "parquet": read_parquet_sized,
         "csv": rd.read_csv,
         "json": rd.read_json,
         "jsonl": rd.read_json,

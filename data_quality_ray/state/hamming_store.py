@@ -100,9 +100,9 @@ def hamming_store_matches(store_dir: str, query_ids: np.ndarray,
     ``dedup.minhash.dedup_pairs_dataset``, same keep-cols contract).
     → (query_id, id, hamming) sorted."""
     import ray
-    import ray.data as rd
 
     from ..functions.broadcast import cached_get
+    from ..sources.io import read_parquet_sized
 
     with open(os.path.join(store_dir, _PARAMS)) as f:
         params = json.load(f)
@@ -141,8 +141,7 @@ def hamming_store_matches(store_dir: str, query_ids: np.ndarray,
                              id_col: m[id_col].to_numpy()[keep],
                              "hamming": d[keep]})
 
-    out = (rd.read_parquet(files,
-                           columns=[id_col, sig_col, "block_id", "block_val"])
+    out = (read_parquet_sized(files, columns=[id_col, sig_col, "block_id", "block_val"])
            .map_batches(match, batch_format="pandas")
            .to_pandas())
     return (out.drop_duplicates(["query_id", id_col])

@@ -1,11 +1,14 @@
 """Distributed quantized logistic regression (similarity/logreg.py):
-serial-reference parity, partition invariance, learning signal."""
+serial-reference parity, partition invariance, learning signal, and the
+exact per-batch partials that make its sums independent of block layout."""
+
+import math
 
 import numpy as np
 import pandas as pd
 
 from data_quality_ray.rules.heuristics import round_half_away
-from data_quality_ray.similarity.logreg import ROUND_TO, logreg_fit
+from data_quality_ray.similarity.logreg import ROUND_TO, exact_partials, logreg_fit
 
 
 def _ds(df, blocks=5):
@@ -52,3 +55,22 @@ def test_logreg_excludes_null_rows(ray_session):
                        "y": [0.0, 1.0, 1.0, np.nan]})
     got = logreg_fit(_ds(df, blocks=2), ["x1"], "y", rounds=2)
     assert got["n"] == 2
+
+
+def test_exact_partials_merge_to_the_exact_sum_of_any_split():
+    """``math.fsum`` over the partials of the pieces of any split equals
+    ``math.fsum`` of the whole array: the sum no longer depends on how
+    the rows are cut into blocks or in which order the blocks arrive."""
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        n = int(rng.integers(1, 2000))
+        x = rng.normal(0, 1, n) * 10.0 ** rng.integers(-20, 20, n)
+        if trial % 4 == 0:  # cancellation, subnormals, exact zeros
+            x = np.r_[x, 1e300, -1e300, 5e-324, 0.0, -2.5e-310]
+        want = math.fsum(x.tolist())
+        assert math.fsum(exact_partials(x)) == want
+        cuts = np.sort(rng.integers(0, len(x), 5))
+        pieces = np.split(x, cuts)
+        rng.shuffle(pieces)
+        assert math.fsum(p for piece in pieces for p in exact_partials(piece)) == want
+    assert exact_partials(np.zeros(3)) == []

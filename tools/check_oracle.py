@@ -2,12 +2,19 @@
 ``queries()`` entry and its ``oracle_sql()`` side by side, compare
 row-count, column names and order-insensitive values.
 
-Usage: python tools/check_oracle.py [--force-path collect|shuffle] [sf_dir] [query ...]
+Usage: python tools/check_oracle.py [--force-path collect|shuffle] [--num-cpus N]
+       [sf_dir] [query ...]
 
 ``--force-path`` sends every size gate (``functions/gate.fits``) down one
 path by patching ``gate.LIMITS`` in-process, as the tests' ``force_path``
 fixture does, so each dual-path query is checked on that path; a query
 whose gates did not all take it fails.
+
+``--num-cpus`` (default 8) is the CPU count of the Ray session the sweep
+starts. Read plans follow it (``sources/io.read_blocks``): with
+``--num-cpus 1`` every read is fused with its first map, as in a 1-CPU
+benchmark run, while at 8 CPUs a one-row-group table is read by one task
+whose output Ray splits into 16 blocks.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ def main() -> int:
     ap.add_argument("sf_dir", nargs="?", default="/root/testdata/sf0.001")
     ap.add_argument("queries", nargs="*")
     ap.add_argument("--force-path", choices=("collect", "shuffle"))
+    ap.add_argument("--num-cpus", type=int, default=8)
     args = ap.parse_args()
     sf_dir, only = args.sf_dir, set(args.queries)
     import ray
@@ -70,7 +78,7 @@ def main() -> int:
         gate.LIMITS = dict.fromkeys(gate.LIMITS, limit)
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=args.num_cpus, include_dashboard=False, logging_level="ERROR")
 
     import __ray_entry__ as E
 
